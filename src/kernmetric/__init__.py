@@ -63,6 +63,7 @@ from .stats import (
     energy_distance,
     expected_score,
     kernel_score,
+    kernel_scores,
     mmd,
     mmd_u_statistic,
     permutation_test,

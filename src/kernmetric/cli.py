@@ -20,7 +20,7 @@ from .io import ParseError
 from .profiles import Gaussian
 from .selfcheck import run_selfcheck
 from .spaces import DiscreteMeasure, Euclidean, FuncLp, FunctionSample, trapezoid_grid
-from .stats import kernel_score, mmd, permutation_test
+from .stats import kernel_scores, mmd, permutation_test
 
 EXIT_OK = 0
 EXIT_SELFCHECK = 1
@@ -136,11 +136,7 @@ def cmd_gram(args) -> int:
     grid = _load_grid(args)
     points, space = _load_sample_list(args.points, grid)
     k = _load_kernel(args, space_hint=space, grid=grid)
-    try:
-        g = gram(k, points)
-    except ShapeError:
-        raise
-    kio.write_gram_csv(args.out, g.entries)
+    kio.write_gram_csv(args.out, gram(k, points).entries)
     return EXIT_OK
 
 
@@ -190,7 +186,7 @@ def cmd_score(args) -> int:
     if obs.shape[1] != forecast.space.dim:
         raise ShapeError("observation dimension does not match the forecast")
     k = _load_kernel(args, space_hint=forecast.space, grid=grid)
-    scores = [kernel_score(k, forecast, obs[i]) for i in range(obs.shape[0])]
+    scores = kernel_scores(k, forecast, obs)
     lines = ["score"]
     lines += [kio.fmt(s) for s in scores]
     lines.append("mean," + kio.fmt(float(np.mean(scores))))

@@ -38,20 +38,6 @@ def gram(k: KernelSpec, points: Sequence) -> GramMatrix:
     return GramMatrix(entries, kernel_id=type(k).__name__, point_count=len(pts))
 
 
-def _bilinear(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    if mu.space != k.space:
-        raise ShapeError("measure does not live on the kernel's space")
-    if nu.space != k.space:
-        raise ShapeError("measure does not live on the kernel's space")
-    # cross Gram between the two supports; row-major summation order
-    n, m = len(mu.points), len(nu.points)
-    g = np.empty((n, m))
-    for i, x in enumerate(mu.points):
-        for j, y in enumerate(nu.points):
-            g[i, j] = k(x, y)
-    return float(mu.weights @ (g @ nu.weights))
-
-
 def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
     """Squared RKHS semi-norm of the embedded measure, clamped at zero.
 
@@ -82,7 +68,9 @@ def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
 
 def kme_inner(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """RKHS inner product of two embedded measures (bilinear double sum)."""
-    return _bilinear(k, mu, nu)
+    if mu.space != k.space or nu.space != k.space:
+        raise ShapeError("measure does not live on the kernel's space")
+    return float(mu.weights @ (k.pairwise(mu.points, nu.points) @ nu.weights))
 
 
 def min_eigenvalue(g: GramMatrix) -> float:

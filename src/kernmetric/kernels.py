@@ -3,7 +3,10 @@ kernels on L^p, metric kernels on spaces of strong negative type, distance
 kernels, mixtures, and kernels on spaces of discrete measures.
 
 Every kernel is an immutable evaluation rule ``k(x, y)`` over a point
-space; evaluation is pure and symmetric by construction.
+space; evaluation is pure and symmetric by construction.  ``k.pairwise(xs,
+ys)`` evaluates the whole cross block of two point lists.  On Euclidean and
+function spaces it is one array computation, and a scalar ``k(x, y)`` is its
+1 x 1 block; the measure-space rules evaluate pair by pair.
 """
 
 from __future__ import annotations
@@ -24,18 +27,18 @@ from .profiles import PhiProfile, is_strictly_pd_class
 from .spaces import (
     DiscreteMeasure,
     Euclidean,
-    EuclideanMetric,
     FuncLp,
     FunctionSample,
-    LpMetric,
     MeasurePoints,
     MetricSpec,
     PointSpace,
     QuadratureGrid,
     as_point,
     measure_difference,
-    metric_dist,
-    sq_dist_l2,
+    metric_dists,
+    reduce_diffs,
+    stack_points,
+    sum_sq,
 )
 
 __all__ = [
@@ -70,8 +73,20 @@ class KernelSpec:
     def __call__(self, x, y) -> float:
         raise NotImplementedError
 
+    def pairwise(self, xs, ys) -> np.ndarray:
+        """Cross block ``[[k(x, y) for y in ys] for x in xs]``, pair by pair."""
+        xs, ys = list(xs), list(ys)
+        return np.array([[self(x, y) for y in ys] for x in xs]).reshape(len(xs), len(ys))
+
+    def _one(self, x, y) -> float:
+        """k(x, y) as the 1 x 1 block of ``pairwise``."""
+        return float(self.pairwise([x], [y])[0, 0])
+
     def _check(self, x):
         return as_point(self.space, x)
+
+    def _stack(self, points) -> np.ndarray:
+        return stack_points(self.space, points)
 
 
 def _require_strict(phi: PhiProfile):
@@ -82,21 +97,23 @@ def _require_strict(phi: PhiProfile):
         )
 
 
-def _sq_dist(space: PointSpace, x, y) -> float:
-    if isinstance(space, Euclidean):
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return float(d @ d)
-    return sq_dist_l2(x, y)
+def _sq_dists(space: PointSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Squared Hilbert distances between the rows of two stacked point arrays."""
+    if isinstance(space, FuncLp):
+        w = space.grid.weights
+        return reduce_diffs(lambda diff: np.einsum("ijk,ijk,k->ij", diff, diff, w), xs, ys)
+    return reduce_diffs(sum_sq, xs, ys)
 
 
 # ---------------------------------------------------------------------------
-# maps for composed radial kernels
+# maps for composed radial kernels; ``apply`` maps the rows of a stacked
+# (n, d) point array (``stack_points``)
 
 
 @dataclass(frozen=True)
 class Identity:
-    def apply(self, space: PointSpace, x):
-        return x
+    def apply(self, xs: np.ndarray) -> np.ndarray:
+        return xs
 
 
 @dataclass(frozen=True)
@@ -109,15 +126,10 @@ class DiagonalScale:
             raise InjectivityError("diagonal scaling with a zero factor is not injective")
         object.__setattr__(self, "factors", factors)
 
-    def apply(self, space: PointSpace, x):
-        f = np.asarray(self.factors)
-        if isinstance(space, Euclidean):
-            if f.size != space.dim:
-                raise ShapeError("scale factors do not match the space dimension")
-            return np.asarray(x) * f
-        if f.size != len(space.grid):
-            raise ShapeError("scale factors do not match the grid size")
-        return FunctionSample(space.grid, x.values * f)
+    def apply(self, xs: np.ndarray) -> np.ndarray:
+        if len(self.factors) != xs.shape[1]:
+            raise ShapeError("scale factors do not match the point dimension")
+        return xs * np.asarray(self.factors)
 
 
 @dataclass(frozen=True)
@@ -138,10 +150,10 @@ class LinearGridMap:
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
-    def apply(self, space: PointSpace, x):
-        if isinstance(space, Euclidean):
-            return self.matrix @ np.asarray(x, dtype=float)
-        return FunctionSample(space.grid, self.matrix @ x.values)
+    def apply(self, xs: np.ndarray) -> np.ndarray:
+        if self.matrix.shape[1] != xs.shape[1]:
+            raise ShapeError("matrix does not match the point dimension")
+        return xs @ self.matrix.T
 
 
 MapSpec = Union[Identity, DiagonalScale, LinearGridMap]
@@ -161,15 +173,10 @@ class _RadialHilbert(KernelSpec):
         return self.phi(0.0)
 
     def __call__(self, x, y) -> float:
-        x, y = self._check(x), self._check(y)
-        return self.phi(_sq_dist(self.space, x, y))
+        return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        """Gram block for stacked Euclidean points (n, d) x (m, d)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        sq = _pairwise_sq_dists(xs, ys)
-        return _phi_array(self.phi, sq)
+        return self.phi(_sq_dists(self.space, self._stack(xs), self._stack(ys)))
 
 
 @dataclass(frozen=True)
@@ -183,10 +190,12 @@ class _TeeRadial(KernelSpec):
         return self.phi(0.0)
 
     def __call__(self, x, y) -> float:
-        x, y = self._check(x), self._check(y)
-        tx = self.tee.apply(self.space, x)
-        ty = self.tee.apply(self.space, y)
-        return self.phi(_sq_dist(self.space, tx, ty))
+        return self._one(x, y)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        tx = self.tee.apply(self._stack(xs))
+        ty = self.tee.apply(self._stack(ys))
+        return self.phi(_sq_dists(self.space, tx, ty))
 
 
 @dataclass(frozen=True)
@@ -205,10 +214,12 @@ class _LpOperator(KernelSpec):
         return self.phi(0.0)
 
     def __call__(self, x, y) -> float:
-        x, y = self._check(x), self._check(y)
-        h = x.values - y.values
-        q = float(h @ (self.form @ h))
-        return self.phi(max(q, 0.0))
+        return self._one(x, y)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        q = reduce_diffs(lambda diff: np.einsum("ijk,ijk->ij", diff @ self.form, diff),
+                         self._stack(xs), self._stack(ys))
+        return self.phi(np.maximum(q, 0.0))
 
 
 @dataclass(frozen=True)
@@ -224,8 +235,10 @@ class _MetricPhi(KernelSpec):
         return self.phi(0.0)
 
     def __call__(self, x, y) -> float:
-        x, y = self._check(x), self._check(y)
-        return self.phi(metric_dist(self.metric, x, y))
+        return self._one(x, y)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        return self.phi(metric_dists(self.metric, self._stack(xs), self._stack(ys)))
 
 
 @dataclass(frozen=True)
@@ -237,11 +250,14 @@ class _DistanceKernel(KernelSpec):
     space: PointSpace
 
     def __call__(self, x, y) -> float:
-        x, y = self._check(x), self._check(y)
+        return self._one(x, y)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        xs, ys, z0 = self._stack(xs), self._stack(ys), self._stack([self.z0])
         return (
-            metric_dist(self.metric, x, self.z0)
-            + metric_dist(self.metric, y, self.z0)
-            - metric_dist(self.metric, x, y)
+            metric_dists(self.metric, xs, z0)
+            + metric_dists(self.metric, z0, ys)
+            - metric_dists(self.metric, xs, ys)
         )
 
 
@@ -258,7 +274,11 @@ class _Mixture(KernelSpec):
         return float(sum(w * v for (_, w), v in zip(self.components, vals)))
 
     def __call__(self, x, y) -> float:
-        return float(sum(w * k(x, y) for k, w in self.components))
+        return self._one(x, y)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        xs, ys = list(xs), list(ys)
+        return sum(w * k.pairwise(xs, ys) for k, w in self.components)
 
 
 @dataclass(frozen=True)
@@ -374,7 +394,7 @@ def make_lp_operator(
             "annihilates some nonzero function"
         )
     w = grid.weights
-    g1 = _base_gram(k1, [np.array([t]) for t in grid.nodes])
+    g1 = _base_gram(k1, grid.nodes[:, None])
     form = (w[:, None] * g1) * w[None, :]
     form.setflags(write=False)
     return _LpOperator(phi, k1, grid, float(p), FuncLp(grid, float(p)), form)
@@ -405,8 +425,7 @@ def check_lp_nondegeneracy(k1: KernelSpec, grid: QuadratureGrid) -> bool:
     Builds M[i, j] = w_i k1(x_i, x_j) w_j and requires its smallest
     eigenvalue to exceed 1e-10 * trace(M).
     """
-    pts = [np.array([t]) for t in grid.nodes]
-    g = _base_gram(k1, pts)
+    g = _base_gram(k1, grid.nodes[:, None])
     w = grid.weights
     m = (w[:, None] * g) * w[None, :]
     eigs = np.linalg.eigvalsh(m)
@@ -513,28 +532,18 @@ def _measure_key(m: DiscreteMeasure) -> bytes:
     return b"".join(parts)
 
 
-def _phi_array(phi: PhiProfile, t: np.ndarray) -> np.ndarray:
-    flat = t.ravel()
-    return np.array([phi(v) for v in flat]).reshape(t.shape)
-
-
-def _pairwise_sq_dists(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    diff = xs[:, None, :] - ys[None, :, :]
-    return np.clip(np.einsum("ijk,ijk->ij", diff, diff), 0.0, None)
-
-
 def _base_gram(k: KernelSpec, points) -> np.ndarray:
-    """Symmetric Gram matrix of a kernel on a list of points (fast paths inside)."""
+    """Exactly symmetric Gram matrix of a kernel on a list of points.
+
+    Point-space rules evaluate their whole ``pairwise`` block, whose upper
+    triangle is mirrored; measure-space rules evaluate the upper triangle
+    pair by pair.
+    """
     pts = list(points)
+    if not isinstance(k.space, MeasurePoints):
+        g = np.triu(k.pairwise(pts, pts))
+        return g + np.triu(g, 1).T
     n = len(pts)
-    if (
-        isinstance(k, _RadialHilbert)
-        and isinstance(k.space, Euclidean)
-        and n > 2
-    ):
-        xs = np.stack([np.asarray(p, dtype=float) for p in pts])
-        g = k.pairwise(xs, xs)
-        return 0.5 * (g + g.T)
     g = np.empty((n, n))
     for i in range(n):
         g[i, i] = k(pts[i], pts[i])

@@ -3,7 +3,9 @@
 A profile ``phi`` is completely monotone with ``phi(t) = int exp(-x t) dnu(x)``
 for a finite Borel mixing measure ``nu``.  The strictly positive definite
 subclass consists of those profiles whose mixing measure is nonzero with
-support different from {0}.  Four evaluable families are shipped:
+support different from {0}.  Every profile evaluates a scalar ``t`` to a
+float and an array ``t`` elementwise to an array of the same shape.  Four
+evaluable families are shipped:
 
 - ``DiscreteLaplace``: finite atomic mixing measure.
 - ``Gaussian``: single atom at ``alpha``, i.e. ``exp(-alpha * t)``.
@@ -55,9 +57,9 @@ class DiscreteLaplace:
     def mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
-    def __call__(self, t: float) -> float:
-        t = _check_t(t)
-        return float(sum(w * np.exp(-x * t) for x, w in self.atoms))
+    def __call__(self, t):
+        t, scalar = _check_t(t)
+        return _result(sum(w * np.exp(-x * t) for x, w in self.atoms), scalar)
 
     @property
     def strictly_pd(self) -> bool:
@@ -77,8 +79,9 @@ class Gaussian:
     mass = 1.0
     strictly_pd = True
 
-    def __call__(self, t: float) -> float:
-        return float(np.exp(-self.alpha * _check_t(t)))
+    def __call__(self, t):
+        t, scalar = _check_t(t)
+        return _result(np.exp(-self.alpha * t), scalar)
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,9 @@ class ExpSqrt:
     mass = 1.0
     strictly_pd = True
 
-    def __call__(self, t: float) -> float:
-        return float(np.exp(-self.c * np.sqrt(_check_t(t))))
+    def __call__(self, t):
+        t, scalar = _check_t(t)
+        return _result(np.exp(-self.c * np.sqrt(t)), scalar)
 
 
 @dataclass(frozen=True)
@@ -114,18 +118,28 @@ class InverseRational:
     mass = 1.0
     strictly_pd = True
 
-    def __call__(self, t: float) -> float:
-        return float((1.0 + _check_t(t) / self.scale) ** (-self.beta))
+    def __call__(self, t):
+        t, scalar = _check_t(t)
+        return _result((1.0 + t / self.scale) ** (-self.beta), scalar)
 
 
 PhiProfile = Union[DiscreteLaplace, Gaussian, ExpSqrt, InverseRational]
 
 
-def _check_t(t) -> float:
-    t = float(t)
-    if t < 0:
-        raise DomainError(f"profile argument must be nonnegative, got {t}")
-    return t
+def _check_t(t):
+    """(t as an array of at least one dimension, whether t was a scalar).
+
+    A scalar is evaluated as a one-element array, so that it takes the same
+    numpy loops as the entries of an array argument and gives the same bits.
+    """
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
+        raise DomainError(f"profile argument must be nonnegative, got {np.min(arr[arr < 0])}")
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _result(values: np.ndarray, scalar: bool):
+    return float(values[0]) if scalar else values
 
 
 def phi_eval(profile: PhiProfile, t: float) -> float:

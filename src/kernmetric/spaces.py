@@ -22,9 +22,12 @@ __all__ = [
     "MetricSpec",
     "DiscreteMeasure",
     "trapezoid_grid",
+    "stack_points",
     "lp_norm",
     "sq_dist_l2",
     "metric_dist",
+    "metric_dists",
+    "reduce_diffs",
     "measure_difference",
     "dirac",
 ]
@@ -156,13 +159,35 @@ PointSpace = Union[Euclidean, FuncLp, MeasurePoints]
 def as_point(space: PointSpace, x):
     """Coerce and validate a raw point for the given space."""
     if isinstance(space, Euclidean):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (space.dim,):
-            raise ShapeError(f"expected a point in R^{space.dim}, got shape {x.shape}")
-        return x
+        return stack_points(space, [x])[0]
     if not space.contains(x):
         raise ShapeError(f"point {type(x).__name__} does not belong to {space}")
     return x
+
+
+def stack_points(space: PointSpace, points) -> np.ndarray:
+    """Validate points of a Euclidean or function space and stack them as rows.
+
+    Returns an (n, d) array: the coordinates of n points in R^d, or the
+    values of n function samples on a d-node grid.  Euclidean points must
+    be finite (function samples are checked when they are built).
+    """
+    if isinstance(space, FuncLp):
+        values = [as_point(space, x).values for x in points]
+        return np.array(values).reshape(-1, len(space.grid))
+    if not isinstance(space, Euclidean):
+        raise ShapeError(f"points of {space} do not stack into an array")
+    try:
+        xs = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"points do not stack into points of R^{space.dim}: {exc}") from exc
+    if xs.ndim == 1 and (space.dim == 1 or xs.size == 0):
+        xs = xs.reshape(-1, space.dim)
+    if xs.ndim != 2 or xs.shape[1] != space.dim:
+        raise ShapeError(f"expected points in R^{space.dim}, got shape {xs.shape[1:]}")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("Euclidean points must be finite")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -284,18 +309,46 @@ MetricSpec = Union[EuclideanMetric, LpMetric]
 
 def metric_dist(m: MetricSpec, x, y) -> float:
     """Distance under the metric; symmetric and triangle-inequality safe."""
+    space = m.space()
+    return float(metric_dists(m, stack_points(space, [x]), stack_points(space, [y]))[0, 0])
+
+
+#: entries of the difference array x_i - y_j that ``reduce_diffs`` holds at
+#: once (256 KiB), so that its temporaries do not grow with the point count
+DIFF_BLOCK = 1 << 15
+
+
+def reduce_diffs(reduce, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (n, m) array of ``reduce`` over the differences of two stacked point arrays.
+
+    ``reduce`` maps a (rows, m, d) array of differences x_i - y_j to its
+    (rows, m) values; it is applied to blocks of rows of xs of at most
+    DIFF_BLOCK difference entries each.
+    """
+    n, m = len(xs), len(ys)
+    rows = max(1, DIFF_BLOCK // max(1, m * xs.shape[1]))
+    out = np.empty((n, m))
+    for lo in range(0, n, rows):
+        out[lo:lo + rows] = reduce(xs[lo:lo + rows, None, :] - ys[None, :, :])
+    return out
+
+
+def sum_sq(diff: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last axis."""
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def metric_dists(m: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Distances between the rows of two stacked point arrays (``stack_points``)."""
     if isinstance(m, EuclideanMetric):
-        x = as_point(Euclidean(m.dim), x)
-        y = as_point(Euclidean(m.dim), y)
-        return float(np.linalg.norm(x - y))
-    if f_mismatch(m, x) or f_mismatch(m, y):
-        raise ShapeError("function sample does not match the metric's grid")
-    diff = FunctionSample(m.grid, x.values - y.values)
-    return lp_norm(diff, m.p)
+        return np.sqrt(reduce_diffs(sum_sq, xs, ys))
+    w = m.grid.weights
 
+    def lp_sums(diff):
+        # in place, so that the difference block is the only temporary
+        return np.power(np.abs(diff, out=diff), m.p, out=diff) @ w
 
-def f_mismatch(m: LpMetric, x) -> bool:
-    return not isinstance(x, FunctionSample) or x.grid != m.grid
+    return reduce_diffs(lp_sums, xs, ys) ** (1.0 / m.p)
 
 
 def measure_difference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:

@@ -11,12 +11,13 @@ import numpy as np
 from .embeddings import kme_sq_norm
 from .errors import DomainError, ShapeError
 from .kernels import KernelSpec, _base_gram
-from .spaces import DiscreteMeasure, MetricSpec, measure_difference, metric_dist
+from .spaces import DiscreteMeasure, MetricSpec, measure_difference, metric_dists, stack_points
 
 __all__ = [
     "TestResult",
     "mmd",
     "kernel_score",
+    "kernel_scores",
     "expected_score",
     "divergence",
     "mmd_u_statistic",
@@ -81,24 +82,33 @@ def kernel_score(k: KernelSpec, p: DiscreteMeasure, x) -> float:
     The half-diagonal term makes the score equal to half the squared MMD
     between p and the point mass at x, hence nonnegative.
     """
+    return float(kernel_scores(k, p, [x])[0])
+
+
+def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray:
+    """Kernel scores ``kernel_score(k, p, x)`` of one forecast at every outcome in xs.
+
+    The forecast's self-term sum_ij w_i w_j k(z_i, z_j) is computed once.
+    """
     _require_probability(p, "forecast")
-    cross = float(sum(w * k(z, x) for z, w in zip(p.points, p.weights)))
-    self_term = 0.5 * kme_sq_norm(k, p)
-    val = -cross + self_term + 0.5 * k(x, x)
-    if val < 0:
-        if val < -1e-10:
-            raise DomainError(f"kernel score is negative beyond roundoff ({val})")
-        val = 0.0
-    return val
+    xs = list(xs)
+    # summed atom by atom, so that each outcome's score has the same bits
+    # whatever the other outcomes are
+    cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.points, xs)))
+    diag = k.diag_value
+    if diag is None:
+        diag = np.array([k(x, x) for x in xs])
+    val = -cross + 0.5 * kme_sq_norm(k, p) + 0.5 * diag
+    if np.any(val < -1e-10):
+        raise DomainError(f"kernel score is negative beyond roundoff ({np.min(val)})")
+    return np.where(val < 0, 0.0, val)
 
 
 def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> float:
     """Expected kernel score of forecast q under outcome distribution p."""
     _require_probability(q, "forecast")
     _require_probability(p, "outcome distribution")
-    return float(
-        sum(w * kernel_score(k, q, x) for x, w in zip(p.points, p.weights))
-    )
+    return float(p.weights @ kernel_scores(k, q, p.points))
 
 
 def divergence(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -131,6 +141,31 @@ def mmd_u_statistic(k: KernelSpec, xs: Sequence, ys: Sequence) -> float:
     return _u_statistic_from_gram(g, n, m)
 
 
+#: permutation replicates evaluated together, as the rows of one label matrix
+PERM_CHUNK = 128
+
+
+def _permuted_u_statistics(g: np.ndarray, n: int, perms: np.ndarray) -> np.ndarray:
+    """U-statistics of the Gram g with the first n entries of each row of perms as X.
+
+    With s the 0/1 label vector of X, the within-X, within-Y and cross sums
+    are s'Gs - s'diag(G), (1'G1 - 2 s'G1 + s'Gs) - (tr G - s'diag(G)) and
+    s'G1 - s'Gs, so one product of G with the label matrix gives them all.
+    """
+    size = g.shape[0]
+    m = size - n
+    labels = np.zeros((len(perms), size))
+    np.put_along_axis(labels, perms[:, :n], 1.0, axis=1)
+    lg = labels @ g  # rows s'G (G is symmetric)
+    sgs = np.einsum("ri,ri->r", lg, labels)
+    sg1 = lg.sum(axis=1)
+    sd = labels @ np.diag(g)
+    sxx = (sgs - sd) / (n * (n - 1))
+    syy = (g.sum() - 2.0 * sg1 + sgs - (np.trace(g) - sd)) / (m * (m - 1))
+    sxy = (sg1 - sgs) * 2.0 / (n * m)
+    return sxx + syy - sxy
+
+
 def permutation_test(
     k: KernelSpec, xs: Sequence, ys: Sequence, n_perm: int = 999, seed: int = 0
 ) -> TestResult:
@@ -140,6 +175,12 @@ def permutation_test(
     valid under exchangeability.  Each replicate draws its permutation from
     an independent stream spawned from the seed, so results do not depend
     on evaluation order.
+
+    Replicates are evaluated PERM_CHUNK at a time from label vectors.  A
+    replicate whose statistic lies within the worst-case summation error of
+    the observed one is recomputed from its permuted Gram, the way the
+    observed statistic is, so that near-ties are decided by the same
+    arithmetic on both sides.
     """
     xs, ys = list(xs), list(ys)
     n, m = len(xs), len(ys)
@@ -149,14 +190,24 @@ def permutation_test(
         raise DomainError("n_perm must be positive")
     g = _base_gram(k, xs + ys)
     observed = _u_statistic_from_gram(g, n, m)
+    size = n + m
+    # a sum of K <= size^2 terms of size <= max|g| is off by at most
+    # K * eps * K * max|g| in any order of summation, and each sum behind a
+    # statistic is divided by at least min(n(n-1), m(m-1), nm/2); the factor
+    # 16 covers the few sums and roundings of either way of computing it
+    tie_band = (16 * np.finfo(float).eps * size**4 * np.max(np.abs(g))
+                / min(n * (n - 1), m * (m - 1), n * m / 2))
 
     streams = np.random.SeedSequence(seed).spawn(n_perm)
     count = 0
-    for stream in streams:
-        perm = np.random.default_rng(stream).permutation(n + m)
-        gp = g[np.ix_(perm, perm)]
-        if _u_statistic_from_gram(gp, n, m) >= observed:
-            count += 1
+    for lo in range(0, n_perm, PERM_CHUNK):
+        perms = np.array([np.random.default_rng(s).permutation(size)
+                          for s in streams[lo:lo + PERM_CHUNK]])
+        stats = _permuted_u_statistics(g, n, perms)
+        near = np.abs(stats - observed) <= tie_band
+        count += int(np.count_nonzero(stats[~near] >= observed))
+        for perm in perms[near]:
+            count += _u_statistic_from_gram(g[np.ix_(perm, perm)], n, m) >= observed
     p_value = (1.0 + count) / (n_perm + 1.0)
     return TestResult(observed, p_value, n_perm, seed)
 
@@ -170,10 +221,7 @@ def energy_distance(metric: MetricSpec, p: DiscreteMeasure, q: DiscreteMeasure) 
         raise ShapeError("measures do not live on the metric's space")
 
     def form(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-        total = 0.0
-        for x, wx in zip(a.points, a.weights):
-            for y, wy in zip(b.points, b.weights):
-                total += wx * wy * metric_dist(metric, x, y)
-        return total
+        dists = metric_dists(metric, stack_points(space, a.points), stack_points(space, b.points))
+        return float(a.weights @ (dists @ b.weights))
 
     return 2.0 * form(p, q) - form(p, p) - form(q, q)

@@ -145,6 +145,14 @@ def test_cli_mmd_dimension_mismatch_is_data_error(tmp_path, kernel_file):
     assert main(["mmd", "--kernel", kernel_file, "--x", x, "--y", y]) == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_mmd_non_finite_point_is_data_error(tmp_path, kernel_file, capsys, bad):
+    x = write(tmp_path / "x.csv", f"x1,weight\n0,0.5\n{bad},0.5\n")
+    y = write(tmp_path / "y.csv", "x1,weight\n1,1\n")
+    assert main(["mmd", "--kernel", kernel_file, "--x", x, "--y", y]) == 3
+    assert "nan" not in capsys.readouterr().out.lower()
+
+
 # ---------------------------------------------------------------------------
 # CLI: test2
 
@@ -175,6 +183,16 @@ def test_cli_test2_deterministic(tmp_path, kernel_file, capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_cli_test2_non_finite_point_is_data_error(tmp_path, kernel_file, capsys, bad):
+    x = write(tmp_path / "x.csv", f"x1\n0\n0.5\n{bad}\n1\n")
+    y = write(tmp_path / "y.csv", "x1\n1\n2\n3\n")
+    code = main(["test2", "--kernel", kernel_file, "--x", x, "--y", y, "--perms", "99"])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower() and "REJECT" not in out
 
 
 def test_cli_test2_zero_perms_is_usage_error(tmp_path, kernel_file):

@@ -410,3 +410,62 @@ def test_all_rules_symmetric_and_bounded(rng):
             assert k(x, y) == k(y, x)
             if name != "distance":
                 assert abs(k(x, y)) <= k.diag_value + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: every point-space rule against its scalar calls
+
+
+def _point_space_kernels():
+    grid = trapezoid_grid(9)
+    e3 = Euclidean(3)
+    gen_e3 = lambda rng: rng.normal(size=3)  # noqa: E731
+    gen_f = lambda rng: random_function(rng, grid)  # noqa: E731
+    base = make_radial_hilbert(Gaussian(alpha=50.0), E1)
+    rules = [
+        ("radial_euclidean", make_radial_hilbert(PHI, e3), gen_e3),
+        ("radial_l2", make_radial_hilbert(PHI, FuncLp(grid, 2.0)), gen_f),
+        ("tee_diagonal", make_tee_radial(PHI, DiagonalScale((1.0, -2.0, 0.5)), e3), gen_e3),
+        ("tee_matrix_l2", make_tee_radial(
+            PHI, LinearGridMap(np.eye(9) + 0.1 * np.ones((9, 9))), FuncLp(grid, 2.0)), gen_f),
+        ("lp_operator", make_lp_operator(PHI, base, trapezoid_grid(6), 1.5),
+         lambda rng: random_function(rng, trapezoid_grid(6))),
+        ("metric_phi_euclidean", make_metric_phi(PHI, EuclideanMetric(3)), gen_e3),
+        ("metric_phi_lp", make_metric_phi(PHI, LpMetric(grid, 1.5)), gen_f),
+        ("distance_euclidean", make_distance_kernel(EuclideanMetric(3), np.ones(3)), gen_e3),
+        ("distance_lp", make_distance_kernel(
+            LpMetric(grid, 1.5), FunctionSample(grid, np.zeros(9))), gen_f),
+        ("mixture", make_mixture([(make_radial_hilbert(PHI, e3), 0.3),
+                                  (make_metric_phi(Gaussian(2.0), EuclideanMetric(3)), 0.7)]),
+         gen_e3),
+    ]
+    return [pytest.param(k, gen, id=name) for name, k, gen in rules]
+
+
+@pytest.mark.parametrize("k,gen", _point_space_kernels())
+def test_batched_gram_matches_scalar_calls(k, gen, monkeypatch):
+    from kernmetric import DiscreteMeasure, kme_inner, spaces
+
+    rng = np.random.default_rng(99)
+    pts = [gen(rng) for _ in range(12)]
+    g = gram(k, pts).entries
+    scalar = np.array([[k(x, y) for y in pts] for x in pts])
+    np.testing.assert_allclose(g, scalar, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(g, g.T)
+    monkeypatch.setattr(spaces, "DIFF_BLOCK", 40)  # several blocks of rows
+    np.testing.assert_allclose(gram(k, pts).entries, scalar, rtol=1e-12, atol=0.0)
+
+    mu = DiscreteMeasure(k.space, tuple(pts[:5]), rng.normal(size=5))
+    nu = DiscreteMeasure(k.space, tuple(pts[5:]), rng.normal(size=7))
+    double_sum = sum(wx * wy * k(x, y) for x, wx in zip(mu.points, mu.weights)
+                     for y, wy in zip(nu.points, nu.weights))
+    assert kme_inner(k, mu, nu) == pytest.approx(double_sum, rel=1e-12, abs=1e-14)
+
+
+def test_batched_gram_rejects_non_finite_points():
+    k = make_radial_hilbert(PHI, E2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            gram(k, [np.zeros(2), np.array([0.0, bad])])
+        with pytest.raises(DomainError):
+            k(np.zeros(2), np.array([bad, 0.0]))

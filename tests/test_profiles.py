@@ -134,3 +134,16 @@ def test_json_known_forms():
     assert phi == DiscreteLaplace(atoms=((1.0, 0.5), (2.0, 0.5)))
     with pytest.raises(DomainError):
         profile_from_json({"family": "nope"})
+
+
+@pytest.mark.parametrize("phi", ALL_PROFILES, ids=lambda p: type(p).__name__)
+def test_array_call_matches_scalar_call(phi):
+    t = np.random.default_rng(7).uniform(0.0, 20.0, size=(6, 5))
+    t[0, 0] = 0.0
+    values = phi(t)
+    assert isinstance(values, np.ndarray) and values.shape == t.shape
+    expected = np.array([[phi(float(v)) for v in row] for row in t])
+    np.testing.assert_array_equal(values, expected)
+    assert type(phi(1.5)) is float
+    with pytest.raises(DomainError):
+        phi(np.array([[0.5, 1.0], [2.0, -1e-300]]))

@@ -16,6 +16,7 @@ from kernmetric import (
     energy_distance,
     expected_score,
     kernel_score,
+    kernel_scores,
     kme_inner,
     kme_sq_norm,
     make_distance_kernel,
@@ -117,6 +118,20 @@ def test_kernel_score_is_half_squared_mmd_to_dirac(k2, rng):
 def test_kernel_score_nonnegative(k2, rng):
     for _ in range(100):
         assert kernel_score(k2, random_prob_measure(rng), rng.normal(size=2)) >= 0.0
+
+
+def test_kernel_scores_compute_the_self_term_once(k2, rng, monkeypatch):
+    import kernmetric.stats as stats
+
+    p = random_prob_measure(rng, atoms=6)
+    xs = [rng.normal(size=2) for _ in range(9)]
+    one_by_one = [kernel_score(k2, p, x) for x in xs]
+    calls = []
+    monkeypatch.setattr(stats, "kme_sq_norm", lambda k, mu: calls.append(mu) or kme_sq_norm(k, mu))
+    np.testing.assert_array_equal(kernel_scores(k2, p, xs), one_by_one)
+    q = random_prob_measure(rng, atoms=5)
+    expected_score(k2, p, q)
+    assert len(calls) == 2
 
 
 def test_expected_score_self(k2, rng):
@@ -249,6 +264,34 @@ def test_permutation_rejects_zero_perms():
     pts = [one_d(0.0), one_d(1.0)]
     with pytest.raises(DomainError):
         permutation_test(k, pts, pts, n_perm=0, seed=0)
+
+
+def _copy_loop_permutation_test(k, xs, ys, n_perm, seed):
+    """Reference: every replicate's statistic from its own permuted Gram copy."""
+    from kernmetric.kernels import _base_gram
+    from kernmetric.stats import _u_statistic_from_gram
+
+    n, m = len(xs), len(ys)
+    g = _base_gram(k, list(xs) + list(ys))
+    observed = _u_statistic_from_gram(g, n, m)
+    count = 0
+    for stream in np.random.SeedSequence(seed).spawn(n_perm):
+        perm = np.random.default_rng(stream).permutation(n + m)
+        if _u_statistic_from_gram(g[np.ix_(perm, perm)], n, m) >= observed:
+            count += 1
+    return observed, (1.0 + count) / (n_perm + 1.0)
+
+
+@pytest.mark.parametrize("n,m,n_perm", [(2, 2, 5), (3, 7, 130), (20, 20, 99), (100, 100, 999)])
+def test_permutation_matches_copy_loop_bitwise(n, m, n_perm):
+    # small samples repeat the observed split, so exact ties are common there
+    k = make_radial_hilbert(PHI, E2)
+    rng = np.random.default_rng(n * 1000 + m)
+    for seed in range(6 if n < 100 else 1):
+        xs = list(rng.normal(size=(n, 2)))
+        ys = list(rng.normal(size=(m, 2)) + 0.2 * seed)
+        res = permutation_test(k, xs, ys, n_perm=n_perm, seed=seed)
+        assert (res.statistic, res.p_value) == _copy_loop_permutation_test(k, xs, ys, n_perm, seed)
 
 
 def test_permutation_test_result_json(rng):
