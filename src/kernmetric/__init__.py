@@ -37,7 +37,6 @@ from .profiles import (
     PhiProfile,
     complete_monotonicity_check,
     is_strictly_pd_class,
-    phi_eval,
     profile_from_json,
     profile_to_json,
 )

@@ -194,22 +194,27 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _scenario_samples(scenario: dict, shift: float, rng):
+def _scenario_space(scenario: dict):
     kind = scenario.get("kind")
+    if kind == "euclidean_mean_shift":
+        return Euclidean(int(scenario.get("dim", 1)))
+    if kind == "function_mean_shift":
+        return FuncLp(trapezoid_grid(int(scenario.get("grid_m", 8))), 2.0)
+    raise UsageError(f"unknown scenario kind {kind!r}")
+
+
+def _scenario_samples(scenario: dict, space, shift: float, rng):
     n = int(scenario.get("n", 20))
     m = int(scenario.get("m", 20))
-    if kind == "euclidean_mean_shift":
-        d = int(scenario.get("dim", 1))
-        xs = [rng.normal(size=d) for _ in range(n)]
-        ys = [rng.normal(size=d) + shift for _ in range(m)]
-        return xs, ys, Euclidean(d)
-    if kind == "function_mean_shift":
-        grid = trapezoid_grid(int(scenario.get("grid_m", 8)))
-        sd = float(scenario.get("noise", 1.0))
-        xs = [FunctionSample(grid, rng.normal(scale=sd, size=len(grid))) for _ in range(n)]
-        ys = [FunctionSample(grid, shift + rng.normal(scale=sd, size=len(grid))) for _ in range(m)]
-        return xs, ys, FuncLp(grid, 2.0)
-    raise UsageError(f"unknown scenario kind {scenario.get('kind')!r}")
+    if isinstance(space, Euclidean):
+        xs = [rng.normal(size=space.dim) for _ in range(n)]
+        ys = [rng.normal(size=space.dim) + shift for _ in range(m)]
+        return xs, ys
+    grid = space.grid
+    sd = float(scenario.get("noise", 1.0))
+    xs = [FunctionSample(grid, rng.normal(scale=sd, size=len(grid))) for _ in range(n)]
+    ys = [FunctionSample(grid, shift + rng.normal(scale=sd, size=len(grid))) for _ in range(m)]
+    return xs, ys
 
 
 def cmd_power(args) -> int:
@@ -227,6 +232,8 @@ def cmd_power(args) -> int:
         raise ParseError(f"{args.scenario}: {exc}") from exc
     shifts = scenario.get("shifts", [0.0, 0.5, 1.0])
     grid = _load_grid(args)
+    space = _scenario_space(scenario)
+    k = _load_kernel(args, space_hint=space, grid=grid)
     lines = ["shift,rejection_rate,trials,mc_stderr"]
     for shift_index, shift in enumerate(shifts):
         rejections = 0
@@ -235,8 +242,7 @@ def cmd_power(args) -> int:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(args.seed, shift_index, trial))
             )
-            xs, ys, space = _scenario_samples(scenario, float(shift), rng)
-            k = _load_kernel(args, space_hint=space, grid=grid)
+            xs, ys = _scenario_samples(scenario, space, float(shift), rng)
             res = permutation_test(
                 k, xs, ys, n_perm=args.perms, seed=int(rng.integers(2**32))
             )

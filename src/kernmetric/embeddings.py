@@ -18,7 +18,6 @@ __all__ = ["GramMatrix", "gram", "kme_sq_norm", "kme_inner", "min_eigenvalue"]
 @dataclass(frozen=True)
 class GramMatrix:
     entries: np.ndarray
-    kernel_id: str
     point_count: int
 
     def __post_init__(self):
@@ -35,7 +34,7 @@ def gram(k: KernelSpec, points: Sequence) -> GramMatrix:
     """Exactly symmetric Gram matrix of the kernel on the given points."""
     pts = list(points)
     entries = _base_gram(k, pts)
-    return GramMatrix(entries, kernel_id=type(k).__name__, point_count=len(pts))
+    return GramMatrix(entries, point_count=len(pts))
 
 
 def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:

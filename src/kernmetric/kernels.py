@@ -4,9 +4,8 @@ kernels, mixtures, and kernels on spaces of discrete measures.
 
 Every kernel is an immutable evaluation rule ``k(x, y)`` over a point
 space; evaluation is pure and symmetric by construction.  ``k.pairwise(xs,
-ys)`` evaluates the whole cross block of two point lists.  On Euclidean and
-function spaces it is one array computation, and a scalar ``k(x, y)`` is its
-1 x 1 block; the measure-space rules evaluate pair by pair.
+ys)`` evaluates the whole cross block of two point lists with array
+operations, and a scalar ``k(x, y)`` is its 1 x 1 block.
 """
 
 from __future__ import annotations
@@ -28,13 +27,12 @@ from .spaces import (
     DiscreteMeasure,
     Euclidean,
     FuncLp,
-    FunctionSample,
     MeasurePoints,
     MetricSpec,
     PointSpace,
     QuadratureGrid,
     as_point,
-    measure_difference,
+    measure_key,
     metric_dists,
     reduce_diffs,
     stack_points,
@@ -74,9 +72,8 @@ class KernelSpec:
         raise NotImplementedError
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        """Cross block ``[[k(x, y) for y in ys] for x in xs]``, pair by pair."""
-        xs, ys = list(xs), list(ys)
-        return np.array([[self(x, y) for y in ys] for x in xs]).reshape(len(xs), len(ys))
+        """Cross block ``[[k(x, y) for y in ys] for x in xs]``."""
+        raise NotImplementedError
 
     def _one(self, x, y) -> float:
         """k(x, y) as the 1 x 1 block of ``pairwise``."""
@@ -293,20 +290,39 @@ class _KmeMeasure(KernelSpec):
     def diag_value(self):
         return self.phi(0.0)
 
+    def embedding_sq_dists(self, xs, ys) -> np.ndarray:
+        """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
+        one mu at a time so that no temporary spans the atoms of two measures of
+        xs; exactly 0 where both sides are the same measure (equal ``measure_key``)."""
+        xs, ys = [self._check(m) for m in xs], [self._check(m) for m in ys]
+        if not xs or not ys:
+            return np.zeros((len(xs), len(ys)))
+        atoms = [p for nu in ys for p in nu.points]
+        wy = np.concatenate([nu.weights for nu in ys])
+        starts = np.cumsum([0] + [len(nu.points) for nu in ys[:-1]])
+        inner = np.array([np.add.reduceat(mu.weights @ self.k1.pairwise(mu.points, atoms) * wy,
+                                          starts) for mu in xs])
+        sx, sy = ([m.weights @ self.k1.pairwise(m.points, m.points) @ m.weights for m in ms]
+                  for ms in (xs, ys))
+        d2 = np.add.outer(sx, sy) - 2.0 * inner
+        ids = {}
+        ix = [ids.setdefault(measure_key(m), len(ids)) for m in xs]
+        iy = [ids.setdefault(measure_key(m), len(ids)) for m in ys]
+        d2[np.equal.outer(ix, iy)] = 0.0
+        return d2
+
     def embedding_sq_dist(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        if mu is nu or mu == nu:
-            return 0.0
-        # canonical order, so the value is bitwise symmetric in (mu, nu)
-        if _measure_key(nu) < _measure_key(mu):
-            mu, nu = nu, mu
-        diff = measure_difference(mu, nu)
-        g = _base_gram(self.k1, diff.points)
-        a = diff.weights
-        return float(a @ (g @ a))
+        return float(self.embedding_sq_dists([mu], [nu])[0, 0])
 
     def __call__(self, mu, nu) -> float:
         mu, nu = self._check(mu), self._check(nu)
-        return self.phi(max(self.embedding_sq_dist(mu, nu), 0.0))
+        # canonical order, so the value is bitwise symmetric in (mu, nu)
+        if measure_key(nu) < measure_key(mu):
+            mu, nu = nu, mu
+        return self._one(mu, nu)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        return self.phi(np.maximum(self.embedding_sq_dists(xs, ys), 0.0))
 
 
 @dataclass(frozen=True)
@@ -327,13 +343,17 @@ class _FourierMeasure(KernelSpec):
         phase = pts @ self.freqs.T  # (n, n_freq)
         return mu.weights @ np.exp(1j * phase)
 
-    def fourier_sq_dist(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        d = self.char_function(mu) - self.char_function(nu)
-        return float(np.sum(self.freq_weights * (d.real**2 + d.imag**2)))
+    def _char_rows(self, measures) -> np.ndarray:
+        """Per measure, the row (Re, Im) of sqrt(w_s) mu_hat(s) over the frequencies."""
+        cf = np.array([self.char_function(self._check(mu)) for mu in measures])
+        cf = cf.reshape(-1, len(self.freq_weights)) * np.sqrt(self.freq_weights)
+        return np.concatenate([cf.real, cf.imag], axis=1)
 
     def __call__(self, mu, nu) -> float:
-        mu, nu = self._check(mu), self._check(nu)
-        return self.phi(self.fourier_sq_dist(mu, nu))
+        return self._one(mu, nu)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        return self.phi(reduce_diffs(sum_sq, self._char_rows(xs), self._char_rows(ys)))
 
 
 @dataclass(frozen=True)
@@ -349,8 +369,11 @@ class _QuantileMonge(KernelSpec):
         return self.phi(0.0)
 
     def __call__(self, mu, nu) -> float:
-        mu, nu = self._check(mu), self._check(nu)
-        return self.phi(quantile_sq_w2(mu, nu))
+        return self._one(mu, nu)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        xs, ys = [self._check(m) for m in xs], [self._check(m) for m in ys]
+        return self.phi(_quantile_sq_dists(xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -522,45 +545,40 @@ def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
 # helpers
 
 
-def _measure_key(m: DiscreteMeasure) -> bytes:
-    parts = [m.weights.tobytes()]
-    for p in m.points:
-        if isinstance(p, FunctionSample):
-            parts.append(p.values.tobytes())
-        else:
-            parts.append(np.asarray(p, dtype=float).tobytes())
-    return b"".join(parts)
-
-
 def _base_gram(k: KernelSpec, points) -> np.ndarray:
-    """Exactly symmetric Gram matrix of a kernel on a list of points.
-
-    Point-space rules evaluate their whole ``pairwise`` block, whose upper
-    triangle is mirrored; measure-space rules evaluate the upper triangle
-    pair by pair.
-    """
+    """Exactly symmetric Gram matrix of a kernel on a list of points: the
+    upper triangle of the ``pairwise`` block, mirrored."""
     pts = list(points)
-    if not isinstance(k.space, MeasurePoints):
-        g = np.triu(k.pairwise(pts, pts))
-        return g + np.triu(g, 1).T
-    n = len(pts)
-    g = np.empty((n, n))
-    for i in range(n):
-        g[i, i] = k(pts[i], pts[i])
-        for j in range(i + 1, n):
-            v = k(pts[i], pts[j])
-            g[i, j] = v
-            g[j, i] = v
-    return g
+    g = np.triu(k.pairwise(pts, pts))
+    return g + np.triu(g, 1).T
 
 
 def _quantile_breaks(mu: DiscreteMeasure):
+    """Sorted support and cumulative weights: the quantile function's steps."""
+    if not mu.is_probability:
+        raise DomainError("quantile embedding requires probability measures")
     xs = mu.points_array().ravel()
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
     cum = np.cumsum(mu.weights[order])
     cum[-1] = 1.0  # guard the top breakpoint against roundoff
     return xs, cum
+
+
+def _quantile_sq_dists(xs, ys) -> np.ndarray:
+    """``quantile_sq_w2`` for every pair; each pair's quantile functions are
+    constant between the merged breakpoints, so they are compared at midpoints."""
+    by = [_quantile_breaks(nu) for nu in ys]
+    out = np.empty((len(xs), len(by)))
+    for i, (x_mu, cum_mu) in enumerate(map(_quantile_breaks, xs)):
+        for j, (x_nu, cum_nu) in enumerate(by):
+            hi = np.union1d(cum_mu, cum_nu)
+            hi = hi[(hi > 0.0) & (hi <= 1.0)]
+            lo = np.concatenate([[0.0], hi[:-1]])
+            mid = 0.5 * (lo + hi)
+            d = x_mu[np.searchsorted(cum_mu, mid)] - x_nu[np.searchsorted(cum_nu, mid)]
+            out[i, j] = np.sum((hi - lo) * d * d)
+    return out
 
 
 def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -570,23 +588,4 @@ def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     breakpoint partition; for 1-D measures this equals the squared
     2-Wasserstein distance.
     """
-    for m in (mu, nu):
-        if not m.is_probability:
-            raise DomainError("quantile embedding requires probability measures")
-    xs_mu, cum_mu = _quantile_breaks(mu)
-    xs_nu, cum_nu = _quantile_breaks(nu)
-    breaks = np.union1d(cum_mu, cum_nu)
-    breaks = breaks[(breaks > 0.0) & (breaks <= 1.0)]
-    lo = 0.0
-    total = 0.0
-    for hi in breaks:
-        width = hi - lo
-        if width <= 0:
-            lo = hi
-            continue
-        u = 0.5 * (lo + hi)
-        q_mu = xs_mu[np.searchsorted(cum_mu, u, side="left")]
-        q_nu = xs_nu[np.searchsorted(cum_nu, u, side="left")]
-        total += width * (q_mu - q_nu) ** 2
-        lo = hi
-    return float(total)
+    return float(_quantile_sq_dists([mu], [nu])[0, 0])

@@ -28,7 +28,6 @@ __all__ = [
     "Gaussian",
     "ExpSqrt",
     "InverseRational",
-    "phi_eval",
     "is_strictly_pd_class",
     "complete_monotonicity_check",
     "profile_from_json",
@@ -140,11 +139,6 @@ def _check_t(t):
 
 def _result(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
-
-
-def phi_eval(profile: PhiProfile, t: float) -> float:
-    """Evaluate the profile at t >= 0."""
-    return profile(t)
 
 
 def is_strictly_pd_class(profile: PhiProfile) -> bool:

@@ -29,6 +29,7 @@ __all__ = [
     "metric_dists",
     "reduce_diffs",
     "measure_difference",
+    "measure_key",
     "dirac",
 ]
 
@@ -248,6 +249,25 @@ class DiscreteMeasure:
         if not isinstance(self.space, Euclidean):
             raise ShapeError("points_array is defined for Euclidean support only")
         return np.stack(self.points)
+
+
+def measure_key(m: DiscreteMeasure) -> bytes:
+    """The bytes of a measure's weights and support points, for ordering arguments.
+
+    Symmetric quantities are evaluated with their two measures in key order,
+    so that swapping the arguments gives the same bits.  Equal keys mean
+    bitwise equal weights and support.  A measure-valued support point
+    contributes its own key.
+    """
+    parts = [m.weights.tobytes()]
+    for p in m.points:
+        if isinstance(p, FunctionSample):
+            parts.append(p.values.tobytes())
+        elif isinstance(p, DiscreteMeasure):
+            parts.append(measure_key(p))
+        else:
+            parts.append(np.asarray(p, dtype=float).tobytes())
+    return b"".join(parts)
 
 
 def dirac(space: PointSpace, x) -> DiscreteMeasure:

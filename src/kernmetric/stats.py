@@ -11,7 +11,14 @@ import numpy as np
 from .embeddings import kme_sq_norm
 from .errors import DomainError, ShapeError
 from .kernels import KernelSpec, _base_gram
-from .spaces import DiscreteMeasure, MetricSpec, measure_difference, metric_dists, stack_points
+from .spaces import (
+    DiscreteMeasure,
+    MetricSpec,
+    measure_difference,
+    measure_key,
+    metric_dists,
+    stack_points,
+)
 
 __all__ = [
     "TestResult",
@@ -49,18 +56,6 @@ def _require_probability(m: DiscreteMeasure, name: str = "measure"):
         raise DomainError(f"{name} must be a probability measure")
 
 
-def _canonical_key(m: DiscreteMeasure) -> bytes:
-    parts = [m.weights.tobytes()]
-    for p in m.points:
-        if hasattr(p, "values"):
-            parts.append(p.values.tobytes())
-        elif isinstance(p, DiscreteMeasure):
-            parts.append(_canonical_key(p))
-        else:
-            parts.append(np.asarray(p, dtype=float).tobytes())
-    return b"".join(parts)
-
-
 def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Maximum mean discrepancy: RKHS norm of the embedded difference.
 
@@ -69,7 +64,7 @@ def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """
     _require_probability(p, "P")
     _require_probability(q, "Q")
-    if _canonical_key(q) < _canonical_key(p):
+    if measure_key(q) < measure_key(p):
         p, q = q, p
     return float(np.sqrt(kme_sq_norm(k, measure_difference(p, q))))
 

@@ -56,15 +56,15 @@ def test_gram_entries_read_only():
 
 def test_gram_matrix_shape_validation():
     with pytest.raises(ShapeError):
-        GramMatrix(np.zeros((2, 3)), kernel_id="x", point_count=2)
+        GramMatrix(np.zeros((2, 3)), point_count=2)
     with pytest.raises(DomainError):
-        GramMatrix(np.array([[np.nan]]), kernel_id="x", point_count=1)
+        GramMatrix(np.array([[np.nan]]), point_count=1)
 
 
 def test_min_eigenvalue_known_2x2():
     # eigenvalues of [[1, r], [r, 1]] are 1 - r and 1 + r
     r = math.exp(-1.0)
-    g = GramMatrix(np.array([[1.0, r], [r, 1.0]]), kernel_id="x", point_count=2)
+    g = GramMatrix(np.array([[1.0, r], [r, 1.0]]), point_count=2)
     assert min_eigenvalue(g) == pytest.approx(1.0 - r, rel=1e-14)
 
 

@@ -11,6 +11,7 @@ from kernmetric import (
     DomainError,
     Euclidean,
     EuclideanMetric,
+    ExpSqrt,
     FuncLp,
     FunctionSample,
     Gaussian,
@@ -413,10 +414,10 @@ def test_all_rules_symmetric_and_bounded(rng):
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation: every point-space rule against its scalar calls
+# batched evaluation: every rule against its scalar calls
 
 
-def _point_space_kernels():
+def _kernels():
     grid = trapezoid_grid(9)
     e3 = Euclidean(3)
     gen_e3 = lambda rng: rng.normal(size=3)  # noqa: E731
@@ -438,11 +439,20 @@ def _point_space_kernels():
         ("mixture", make_mixture([(make_radial_hilbert(PHI, e3), 0.3),
                                   (make_metric_phi(Gaussian(2.0), EuclideanMetric(3)), 0.7)]),
          gen_e3),
+        # probability measures of unequal sizes; with up to 24 atoms, the roundoff of
+        # ||Phi(mu)||^2 + ||Phi(mu)||^2 - 2 <Phi(mu), Phi(mu)> shows through ExpSqrt
+        # unless k(mu, mu) is exactly phi(0)
+        ("kme_measure", make_kme_measure(ExpSqrt(c=1.0), make_radial_hilbert(Gaussian(1.0), E2)),
+         lambda rng: random_prob_measure(rng, atoms=int(rng.integers(1, 25)))),
+        ("fourier_measure", make_fourier_measure(PHI, *gaussian_frequencies(16, 2, seed=3)),
+         lambda rng: random_prob_measure(rng, atoms=int(rng.integers(1, 5)))),
+        ("quantile_monge", make_quantile_monge(PHI, u_grid()),
+         lambda rng: random_prob_measure(rng, dim=1, atoms=int(rng.integers(1, 5)))),
     ]
     return [pytest.param(k, gen, id=name) for name, k, gen in rules]
 
 
-@pytest.mark.parametrize("k,gen", _point_space_kernels())
+@pytest.mark.parametrize("k,gen", _kernels())
 def test_batched_gram_matches_scalar_calls(k, gen, monkeypatch):
     from kernmetric import DiscreteMeasure, kme_inner, spaces
 
@@ -452,6 +462,8 @@ def test_batched_gram_matches_scalar_calls(k, gen, monkeypatch):
     scalar = np.array([[k(x, y) for y in pts] for x in pts])
     np.testing.assert_allclose(g, scalar, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(g, g.T)
+    if k.diag_value is not None:
+        assert np.all(np.diag(g) == k.diag_value)
     monkeypatch.setattr(spaces, "DIFF_BLOCK", 40)  # several blocks of rows
     np.testing.assert_allclose(gram(k, pts).entries, scalar, rtol=1e-12, atol=0.0)
 

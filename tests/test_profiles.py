@@ -13,7 +13,6 @@ from kernmetric import (
     InverseRational,
     complete_monotonicity_check,
     is_strictly_pd_class,
-    phi_eval,
     profile_from_json,
     profile_to_json,
 )
@@ -27,25 +26,25 @@ ALL_PROFILES = [
 
 
 def test_gaussian_at_zero():
-    assert phi_eval(Gaussian(alpha=1.0), 0.0) == 1.0
+    assert Gaussian(alpha=1.0)(0.0) == 1.0
 
 
 def test_gaussian_at_log2():
-    assert phi_eval(Gaussian(alpha=1.0), math.log(2.0)) == pytest.approx(0.5, rel=1e-15)
+    assert Gaussian(alpha=1.0)(math.log(2.0)) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_discrete_laplace_mass_at_zero():
     phi = DiscreteLaplace(atoms=((1.0, 0.5), (2.0, 0.5)))
-    assert phi_eval(phi, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert phi(0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_exp_sqrt_closed_form():
-    assert phi_eval(ExpSqrt(c=1.0), 4.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert ExpSqrt(c=1.0)(4.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
 
 def test_negative_argument_rejected():
     with pytest.raises(DomainError):
-        phi_eval(Gaussian(alpha=1.0), -0.1)
+        Gaussian(alpha=1.0)(-0.1)
 
 
 def test_invalid_parameters_rejected():
@@ -107,7 +106,7 @@ def test_discrete_laplace_matches_direct_summation():
     phi = DiscreteLaplace(atoms=atoms)
     for t in (0.0, 0.1, 1.0, 3.7, 10.0):
         direct = sum(w * math.exp(-x * t) for x, w in atoms)
-        assert phi_eval(phi, t) == pytest.approx(direct, rel=1e-14)
+        assert phi(t) == pytest.approx(direct, rel=1e-14)
 
 
 @settings(max_examples=100)

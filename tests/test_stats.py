@@ -20,6 +20,7 @@ from kernmetric import (
     kme_inner,
     kme_sq_norm,
     make_distance_kernel,
+    make_kme_measure,
     make_lp_operator,
     make_radial_hilbert,
     measure_difference,
@@ -72,6 +73,21 @@ def test_mmd_symmetry_exact(k2, rng):
     for _ in range(20):
         p, q = random_prob_measure(rng), random_prob_measure(rng)
         assert mmd(k2, p, q) == mmd(k2, q, p)
+
+
+def test_mmd_symmetry_exact_on_measures_of_measures(rng):
+    k = make_kme_measure(PHI, make_radial_hilbert(Gaussian(alpha=1.0), E2))
+
+    def meta(atoms):
+        w = rng.uniform(0.1, 1.0, size=atoms)
+        mus = tuple(random_prob_measure(rng, atoms=int(rng.integers(1, 5))) for _ in range(atoms))
+        return DiscreteMeasure(k.space, mus, w / w.sum())
+
+    for _ in range(10):
+        p, q = meta(3), meta(4)
+        assert mmd(k, p, q) == mmd(k, q, p)
+        assert mmd(k, p, q) > 0.0
+        assert mmd(k, p, p) == 0.0
 
 
 def test_mmd_triangle_inequality(k2, rng):
