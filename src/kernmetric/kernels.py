@@ -298,6 +298,9 @@ class _KmeMeasure(KernelSpec):
         if not xs or not ys:
             return np.zeros((len(xs), len(ys)))
         atoms = [p for nu in ys for p in nu.points]
+        if isinstance(self.k1.space, Euclidean):
+            # stacked once here rather than by k1.pairwise once per measure of xs
+            atoms = stack_points(self.k1.space, atoms)
         wy = np.concatenate([nu.weights for nu in ys])
         starts = np.cumsum([0] + [len(nu.points) for nu in ys[:-1]])
         inner = np.array([np.add.reduceat(mu.weights @ self.k1.pairwise(mu.points, atoms) * wy,

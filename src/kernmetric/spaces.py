@@ -49,6 +49,8 @@ class QuadratureGrid:
             raise ShapeError("nodes and weights must be 1-D arrays of equal length")
         if nodes.size < 2:
             raise DomainError("a grid needs at least 2 nodes")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise DomainError("grid nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise DomainError("nodes must be strictly increasing")
         if np.any(weights <= 0):

@@ -3,6 +3,7 @@ two-sample tests, and the energy distance."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,6 +140,67 @@ def mmd_u_statistic(k: KernelSpec, xs: Sequence, ys: Sequence) -> float:
 #: permutation replicates evaluated together, as the rows of one label matrix
 PERM_CHUNK = 128
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _hashmix(values: np.ndarray, const: int, mult: int):
+    """SeedSequence's hashmix of a uint32 array; returns it and the next hash constant."""
+    values = values ^ np.uint32(const)
+    const = const * mult & _MASK32
+    values = values * np.uint32(const)
+    return values ^ values >> np.uint32(16), const
+
+
+def _child_seed_words(parent: np.random.SeedSequence, spawn_words: np.ndarray) -> list:
+    """``generate_state(4, uint64)`` of the children of a fresh parent whose spawn keys
+    are the one-word tuples (w,) for w in spawn_words, as four uint64 arrays.
+
+    A child's entropy is the parent's, padded with zeros to the 4-word pool, followed
+    by its spawn word, so its mixer equals ``parent.pool`` until the spawn word is
+    mixed into each pool word.  Before that, 4 * max(entropy words, 4) hashmix calls
+    have advanced the hash constant.
+    """
+    n_entropy = max(1, -(-parent.entropy.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 4 * max(n_entropy, 4), 2**32) & _MASK32
+    mixer = []
+    for word in parent.pool.tolist():
+        hashed, const = _hashmix(spawn_words, const, _MULT_A)
+        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        mixer.append(mixed ^ mixed >> np.uint32(16))
+    const = _INIT_B
+    state = []
+    for j in range(8):
+        hashed, const = _hashmix(mixer[j % 4], const, _MULT_B)
+        state.append(hashed.astype(np.uint64))
+    return [state[j] | state[j + 1] << np.uint64(32) for j in range(0, 8, 2)]
+
+
+def _permutations(seed: int, n_perm: int, size: int):
+    """Yield the permutations of range(size), PERM_CHUNK rows at a time: row i is
+    ``default_rng(SeedSequence(seed).spawn(n_perm)[i]).permutation(size)``."""
+    parent = np.random.SeedSequence(seed)
+    gen = np.random.default_rng()
+    for lo in range(0, n_perm, PERM_CHUNK):
+        spawn_words = np.arange(lo, min(lo + PERM_CHUNK, n_perm), dtype=np.uint32)
+        words = _child_seed_words(parent, spawn_words)
+        # permutation(size) shuffles arange(size) in place; so does each row here
+        perms = np.empty((len(spawn_words), size), dtype=np.intp)
+        perms[:] = np.arange(size)
+        for row, s_hi, s_lo, i_hi, i_lo in zip(perms, *(w.tolist() for w in words)):
+            # PCG64's seeding: state 0, one step, add the seed, one more step
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            gen.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            gen.shuffle(row)
+        yield perms
+
 
 def _permuted_u_statistics(g: np.ndarray, n: int, perms: np.ndarray) -> np.ndarray:
     """U-statistics of the Gram g with the first n entries of each row of perms as X.
@@ -167,9 +229,11 @@ def permutation_test(
     """Two-sample permutation test with the MMD U-statistic.
 
     The p-value uses the (1 + count) / (B + 1) convention, which is exactly
-    valid under exchangeability.  Each replicate draws its permutation from
-    an independent stream spawned from the seed, so results do not depend
-    on evaluation order.
+    valid under exchangeability.  Replicate i draws its permutation with
+    ``default_rng(SeedSequence(seed).spawn(n_perm)[i]).permutation(n + m)``,
+    so results do not depend on evaluation order; the child streams' PCG64
+    states are derived PERM_CHUNK at a time in one array pass.  seed must be
+    a nonnegative integer.
 
     Replicates are evaluated PERM_CHUNK at a time from label vectors.  A
     replicate whose statistic lies within the worst-case summation error of
@@ -183,6 +247,12 @@ def permutation_test(
         raise DomainError("both samples need at least 2 points")
     if n_perm < 1:
         raise DomainError("n_perm must be positive")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     g = _base_gram(k, xs + ys)
     observed = _u_statistic_from_gram(g, n, m)
     size = n + m
@@ -193,11 +263,8 @@ def permutation_test(
     tie_band = (16 * np.finfo(float).eps * size**4 * np.max(np.abs(g))
                 / min(n * (n - 1), m * (m - 1), n * m / 2))
 
-    streams = np.random.SeedSequence(seed).spawn(n_perm)
     count = 0
-    for lo in range(0, n_perm, PERM_CHUNK):
-        perms = np.array([np.random.default_rng(s).permutation(size)
-                          for s in streams[lo:lo + PERM_CHUNK]])
+    for perms in _permutations(seed, n_perm, size):
         stats = _permuted_u_statistics(g, n, perms)
         near = np.abs(stats - observed) <= tie_band
         count += int(np.count_nonzero(stats[~near] >= observed))

@@ -202,6 +202,25 @@ def test_cli_test2_zero_perms_is_usage_error(tmp_path, kernel_file):
     assert code == 2
 
 
+def test_cli_test2_negative_seed_is_usage_error(tmp_path, kernel_file):
+    x = write(tmp_path / "x.csv", "x1\n0\n0\n")
+    y = write(tmp_path / "y.csv", "x1\n1\n1\n")
+    code = main(["test2", "--kernel", kernel_file, "--x", x, "--y", y, "--seed", "-1"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("row", ["nan,0.5", "0.5,inf"])
+def test_cli_test2_non_finite_grid_is_data_error(tmp_path, capsys, row):
+    grid = write(tmp_path / "grid.csv", f"node,weight\n0,0.25\n{row}\n1,0.25\n")
+    x = write(tmp_path / "x.csv", "0,1,2\n1,2,3\n")
+    y = write(tmp_path / "y.csv", "3,2,1\n2,1,0\n")
+    code = main(["test2", "--grid", grid, "--x", x, "--y", y, "--perms", "9"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out.lower() and "REJECT" not in captured.out
+    assert "grid nodes and weights must be finite" in captured.err
+
+
 def test_cli_test2_config_file(tmp_path, kernel_file, capsys):
     x = write(tmp_path / "x.csv", "x1\n0\n0\n0\n")
     y = write(tmp_path / "y.csv", "x1\n4\n4\n4\n")
@@ -286,6 +305,16 @@ def test_cli_power_zero_trials_is_usage_error(tmp_path, kernel_file):
          "--trials", "0", "--out", str(tmp_path / "p.csv")]
     )
     assert code == 2
+
+
+def test_cli_power_negative_seed_is_usage_error(tmp_path, kernel_file):
+    scenario = write(tmp_path / "s.json", json.dumps({"kind": "euclidean_mean_shift"}))
+    code = main(
+        ["power", "--kernel", kernel_file, "--scenario", scenario,
+         "--trials", "2", "--seed", "-1", "--out", str(tmp_path / "p.csv")]
+    )
+    assert code == 2
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_cli_power_unknown_scenario_is_usage_error(tmp_path, kernel_file):

@@ -43,6 +43,17 @@ def test_grid_validation():
         trapezoid_grid(1)
 
 
+@pytest.mark.parametrize("nodes,weights", [
+    ([0.0, np.nan, 1.0], [0.25, 0.5, 0.25]),
+    ([0.0, 0.5, np.inf], [0.25, 0.5, 0.25]),
+    ([0.0, 0.5, 1.0], [0.25, np.nan, 0.25]),
+    ([0.0, 0.5, 1.0], [0.25, 0.5, np.inf]),
+])
+def test_grid_rejects_non_finite(nodes, weights):
+    with pytest.raises(DomainError, match="finite"):
+        QuadratureGrid(np.array(nodes), np.array(weights))
+
+
 def test_lp_norm_constant_one():
     grid = trapezoid_grid(11)
     f = FunctionSample(grid, np.ones(11))

@@ -282,6 +282,26 @@ def test_permutation_rejects_zero_perms():
         permutation_test(k, pts, pts, n_perm=0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3", -1])
+def test_permutation_rejects_bad_seed(seed):
+    k = make_radial_hilbert(PHI, E1)
+    pts = [one_d(0.0), one_d(1.0)]
+    with pytest.raises(DomainError, match="seed"):
+        permutation_test(k, pts, pts, n_perm=9, seed=seed)
+
+
+@pytest.mark.parametrize("n_perm", [1, 127, 128, 129, 999])
+def test_permutation_streams_match_numpy_spawn(n_perm):
+    from kernmetric.stats import _permutations
+
+    for seed in [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 2**200 + 1]:
+        for size in [2, 200]:
+            expected = [np.random.default_rng(child).permutation(size)
+                        for child in np.random.SeedSequence(seed).spawn(n_perm)]
+            np.testing.assert_array_equal(
+                np.concatenate(list(_permutations(seed, n_perm, size))), expected)
+
+
 def _copy_loop_permutation_test(k, xs, ys, n_perm, seed):
     """Reference: every replicate's statistic from its own permuted Gram copy."""
     from kernmetric.kernels import _base_gram
