@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 usage/parse error,
-3 semantic/data error.
+Exit codes: 0 success, 1 selfcheck failure or standard output closed early,
+2 usage/parse error, 3 semantic/data error.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,6 +28,8 @@ EXIT_OK = 0
 EXIT_SELFCHECK = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+#: what Python itself exits with when standard output is a closed pipe
+EXIT_CLOSED_PIPE = 1
 
 
 class UsageError(KernmetricError):
@@ -91,6 +94,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, val):
+    """A --config value as the command line would give it: a flag takes a JSON
+    boolean, an option with a type takes what that type accepts from the value's
+    text, and any other option takes a string."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise ValueError(f"expected true or false, got {val!r}")
+        return val
+    if action.type is None:
+        if not isinstance(val, str):
+            raise ValueError(f"expected a string, got {val!r}")
+        return val
+    return action.type(str(val))
+
+
 def _apply_config(args: argparse.Namespace):
     if not getattr(args, "config", None):
         return
@@ -99,13 +117,20 @@ def _apply_config(args: argparse.Namespace):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{args.config}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{args.config}: expected a JSON object")
+    commands = next(a.choices for a in _build_parser()._actions if a.dest == "command")
+    actions = {a.dest: a for a in commands[args.command]._actions}
     for key, val in cfg.items():
         key = key.replace("-", "_")
         if key == "command":
             continue
-        if not hasattr(args, key):
+        if key not in actions or key == "help":
             raise ParseError(f"{args.config}: unknown option {key!r}")
-        setattr(args, key, val)
+        try:
+            setattr(args, key, _config_value(actions[key], val))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{args.config}: option {key!r}: {exc}") from exc
 
 
 def _load_kernel(args, space_hint=None, grid=None):
@@ -285,7 +310,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # written out here, so that a reader that has gone away raises below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the Python docs (signal module, "Note on SIGPIPE"): send what
+        # is left to devnull, so that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -143,13 +143,13 @@ def read_measure_csv(path: str) -> DiscreteMeasure:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != d + 1:
         raise ParseError(f"{path}: inconsistent column count")
-    pts = [arr[i, :d] for i in range(arr.shape[0])]
-    return DiscreteMeasure(Euclidean(d), tuple(pts), arr[:, d])
+    return DiscreteMeasure(Euclidean(d), arr[:, :d], arr[:, d])
 
 
 def write_gram_csv(path: str, entries: np.ndarray):
-    lines = [",".join(fmt(v) for v in row) for row in np.asarray(entries)]
-    write_atomic(path, "\n".join(lines) + "\n")
+    entries = np.asarray(entries, dtype=float)
+    row_fmt = ",".join([FLOAT_FMT] * entries.shape[1])
+    write_atomic(path, "\n".join(row_fmt % tuple(row.tolist()) for row in entries) + "\n")
 
 
 def read_gram_csv(path: str) -> np.ndarray:

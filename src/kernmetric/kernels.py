@@ -6,12 +6,24 @@ Every kernel is an immutable evaluation rule ``k(x, y)`` over a point
 space; evaluation is pure and symmetric by construction.  ``k.pairwise(xs,
 ys)`` evaluates the whole cross block of two point lists with array
 operations, and a scalar ``k(x, y)`` is its 1 x 1 block.
+
+Five rules are radial kernels of a row embedding E into a Hilbert space,
+k(x, y) = phi(||E(x) - E(y)||^2), and one class evaluates them all.  E is
+the identity (``make_radial_hilbert``), the map T (``make_tee_radial``),
+f -> f R with R R' the double quadrature form of the base kernel
+(``make_lp_operator``), the (Re, Im) characteristic function at the
+frequency atoms, scaled by the root frequency weights
+(``make_fourier_measure``), or the quantile function at the midpoints of
+the cells between all breakpoints of a block (``make_quantile_monge``).  On
+L^2 the grid weights, and for quantiles the cell widths, weight the squared
+column differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,14 +106,6 @@ def _require_strict(phi: PhiProfile):
         )
 
 
-def _sq_dists(space: PointSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Squared Hilbert distances between the rows of two stacked point arrays."""
-    if isinstance(space, FuncLp):
-        w = space.grid.weights
-        return reduce_diffs(lambda diff: np.einsum("ijk,ijk,k->ij", diff, diff, w), xs, ys)
-    return reduce_diffs(sum_sq, xs, ys)
-
-
 # ---------------------------------------------------------------------------
 # maps for composed radial kernels; ``apply`` maps the rows of a stacked
 # (n, d) point array (``stack_points``)
@@ -160,10 +164,26 @@ MapSpec = Union[Identity, DiagonalScale, LinearGridMap]
 # kernel rules
 
 
+#: ``embed(xs, ys) -> (ex, ey, col_weights)``: the embedded rows of two point
+#: lists, and the weights of the squared column differences (None: all ones)
+Embedding = Callable[[Sequence, Sequence], Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+
+
+def _sq_dists(ex: np.ndarray, ey: np.ndarray, col_weights: Optional[np.ndarray]) -> np.ndarray:
+    """Squared distances between the rows of ex and ey, columns weighted by col_weights."""
+    if col_weights is None:
+        return reduce_diffs(sum_sq, ex, ey)
+    return reduce_diffs(lambda diff: np.einsum("ijk,ijk,k->ij", diff, diff, col_weights),
+                        ex, ey)
+
+
 @dataclass(frozen=True)
-class _RadialHilbert(KernelSpec):
+class _RadialEmbedding(KernelSpec):
+    """k(x, y) = phi(||E(x) - E(y)||^2) for a row embedding E (see the module docstring)."""
+
     phi: PhiProfile
     space: PointSpace
+    embed: Embedding
 
     @property
     def diag_value(self):
@@ -173,50 +193,7 @@ class _RadialHilbert(KernelSpec):
         return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        return self.phi(_sq_dists(self.space, self._stack(xs), self._stack(ys)))
-
-
-@dataclass(frozen=True)
-class _TeeRadial(KernelSpec):
-    phi: PhiProfile
-    tee: MapSpec
-    space: PointSpace
-
-    @property
-    def diag_value(self):
-        return self.phi(0.0)
-
-    def __call__(self, x, y) -> float:
-        return self._one(x, y)
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        tx = self.tee.apply(self._stack(xs))
-        ty = self.tee.apply(self._stack(ys))
-        return self.phi(_sq_dists(self.space, tx, ty))
-
-
-@dataclass(frozen=True)
-class _LpOperator(KernelSpec):
-    """k2(f, g) = phi(Q(f - g)) with Q the double quadrature form over k1."""
-
-    phi: PhiProfile
-    k1: KernelSpec
-    grid: QuadratureGrid
-    p: float
-    space: PointSpace
-    form: np.ndarray  # diag(w) K1 diag(w), precomputed
-
-    @property
-    def diag_value(self):
-        return self.phi(0.0)
-
-    def __call__(self, x, y) -> float:
-        return self._one(x, y)
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        q = reduce_diffs(lambda diff: np.einsum("ijk,ijk->ij", diff @ self.form, diff),
-                         self._stack(xs), self._stack(ys))
-        return self.phi(np.maximum(q, 0.0))
+        return self.phi(_sq_dists(*self.embed(xs, ys)))
 
 
 @dataclass(frozen=True)
@@ -328,81 +305,35 @@ class _KmeMeasure(KernelSpec):
         return self.phi(np.maximum(self.embedding_sq_dists(xs, ys), 0.0))
 
 
-@dataclass(frozen=True)
-class _FourierMeasure(KernelSpec):
-    """k(mu, nu) = phi(sum_s w_s |mu_hat(s) - nu_hat(s)|^2)."""
-
-    phi: PhiProfile
-    freqs: np.ndarray  # (n_freq, d)
-    freq_weights: np.ndarray
-    space: PointSpace
-
-    @property
-    def diag_value(self):
-        return self.phi(0.0)
-
-    def char_function(self, mu: DiscreteMeasure) -> np.ndarray:
-        pts = mu.points_array()  # (n, d)
-        phase = pts @ self.freqs.T  # (n, n_freq)
-        return mu.weights @ np.exp(1j * phase)
-
-    def _char_rows(self, measures) -> np.ndarray:
-        """Per measure, the row (Re, Im) of sqrt(w_s) mu_hat(s) over the frequencies."""
-        cf = np.array([self.char_function(self._check(mu)) for mu in measures])
-        cf = cf.reshape(-1, len(self.freq_weights)) * np.sqrt(self.freq_weights)
-        return np.concatenate([cf.real, cf.imag], axis=1)
-
-    def __call__(self, mu, nu) -> float:
-        return self._one(mu, nu)
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        return self.phi(reduce_diffs(sum_sq, self._char_rows(xs), self._char_rows(ys)))
-
-
-@dataclass(frozen=True)
-class _QuantileMonge(KernelSpec):
-    """k(mu, nu) = phi(W2~^2) where W2~ is the L^2 distance of quantile maps."""
-
-    phi: PhiProfile
-    u_grid: QuadratureGrid
-    space: PointSpace
-
-    @property
-    def diag_value(self):
-        return self.phi(0.0)
-
-    def __call__(self, mu, nu) -> float:
-        return self._one(mu, nu)
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        xs, ys = [self._check(m) for m in xs], [self._check(m) for m in ys]
-        return self.phi(_quantile_sq_dists(xs, ys))
-
-
 # ---------------------------------------------------------------------------
 # constructors (validation lives here)
 
 
 def make_radial_hilbert(phi: PhiProfile, space: PointSpace) -> KernelSpec:
     """Radial kernel k(x, y) = phi(||x - y||^2) on a Hilbert point space."""
+    return _map_radial(phi, Identity(), space)
+
+
+def make_tee_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelSpec:
+    """k(x, y) = phi(||T(x) - T(y)||^2) for an injective map T."""
+    return _map_radial(phi, tee, space)
+
+
+def _map_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelSpec:
+    """E = T on the stacked points; on L^2 the grid weights weight the columns."""
     _require_strict(phi)
     if isinstance(space, FuncLp) and space.p != 2.0:
         raise DomainError(
             f"radial kernels need a Hilbert norm; L^p with p = {space.p} is not one"
         )
     if isinstance(space, MeasurePoints):
-        raise ShapeError("use make_kme_measure for kernels on measure points")
-    return _RadialHilbert(phi, space)
+        raise ShapeError("radial kernels on measure points are built by make_kme_measure")
+    return _RadialEmbedding(phi, space, partial(_map_embedding, tee, space))
 
 
-def make_tee_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelSpec:
-    """k(x, y) = phi(||T(x) - T(y)||^2) for an injective map T."""
-    _require_strict(phi)
-    if isinstance(space, FuncLp) and space.p != 2.0:
-        raise DomainError("the image space norm must be Hilbert (p = 2)")
-    if isinstance(space, MeasurePoints):
-        raise ShapeError("tee-radial kernels are defined on Euclidean or L^2 spaces")
-    return _TeeRadial(phi, tee, space)
+def _map_embedding(tee: MapSpec, space: PointSpace, xs, ys):
+    w = space.grid.weights if isinstance(space, FuncLp) else None
+    return tee.apply(stack_points(space, xs)), tee.apply(stack_points(space, ys)), w
 
 
 def make_lp_operator(
@@ -419,11 +350,16 @@ def make_lp_operator(
             "base kernel is degenerate on the grid: the weighted Gram form "
             "annihilates some nonzero function"
         )
-    w = grid.weights
-    g1 = _base_gram(k1, grid.nodes[:, None])
-    form = (w[:, None] * g1) * w[None, :]
-    form.setflags(write=False)
-    return _LpOperator(phi, k1, grid, float(p), FuncLp(grid, float(p)), form)
+    # the double quadrature form f' M f is ||f R||^2, with R R' = M from eigh
+    lam, vecs = np.linalg.eigh(_weighted_form(k1, grid))
+    root = vecs * np.sqrt(np.maximum(lam, 0.0))
+    root.setflags(write=False)
+    space = FuncLp(grid, float(p))
+    return _RadialEmbedding(phi, space, partial(_operator_embedding, space, root))
+
+
+def _operator_embedding(space: FuncLp, root: np.ndarray, xs, ys):
+    return stack_points(space, xs) @ root, stack_points(space, ys) @ root, None
 
 
 def check_kernelqint(k1: KernelSpec, q: float, grid: QuadratureGrid) -> float:
@@ -451,11 +387,14 @@ def check_lp_nondegeneracy(k1: KernelSpec, grid: QuadratureGrid) -> bool:
     Builds M[i, j] = w_i k1(x_i, x_j) w_j and requires its smallest
     eigenvalue to exceed 1e-10 * trace(M).
     """
-    g = _base_gram(k1, grid.nodes[:, None])
+    m = _weighted_form(k1, grid)
+    return bool(np.linalg.eigvalsh(m)[0] > 1e-10 * np.trace(m))
+
+
+def _weighted_form(k1: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """M[i, j] = w_i k1(x_i, x_j) w_j over the grid nodes."""
     w = grid.weights
-    m = (w[:, None] * g) * w[None, :]
-    eigs = np.linalg.eigvalsh(m)
-    return bool(eigs[0] > 1e-10 * np.trace(m))
+    return (w[:, None] * _base_gram(k1, grid.nodes[:, None])) * w[None, :]
 
 
 def make_metric_phi(phi: PhiProfile, metric: MetricSpec) -> KernelSpec:
@@ -531,8 +470,18 @@ def make_fourier_measure(
     if abs(float(np.sum(fw)) - 1.0) > 1e-12:
         raise DomainError(f"frequency weights must sum to 1, got {np.sum(fw)}")
     fr.setflags(write=False)
-    fw.setflags(write=False)
-    return _FourierMeasure(phi, fr, fw, MeasurePoints(Euclidean(fr.shape[1])))
+    space = MeasurePoints(Euclidean(fr.shape[1]))
+    return _RadialEmbedding(phi, space, partial(_fourier_embedding, space, fr, np.sqrt(fw)))
+
+
+def _fourier_embedding(space: MeasurePoints, freqs: np.ndarray, scale: np.ndarray, xs, ys):
+    def rows(measures):
+        cf = np.array([m.weights @ np.exp(1j * (as_point(space, m).points_array() @ freqs.T))
+                       for m in measures])
+        cf = cf.reshape(-1, len(scale)) * scale
+        return np.concatenate([cf.real, cf.imag], axis=1)
+
+    return rows(xs), rows(ys), None
 
 
 def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
@@ -541,7 +490,7 @@ def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
     a, b = u_grid.domain
     if not (a >= 0.0 and b <= 1.0):
         raise DomainError("u_grid must discretize [0, 1]")
-    return _QuantileMonge(phi, u_grid, MeasurePoints(Euclidean(1)))
+    return _RadialEmbedding(phi, _LINE_MEASURES, _quantile_embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +505,9 @@ def _base_gram(k: KernelSpec, points) -> np.ndarray:
     return g + np.triu(g, 1).T
 
 
+_LINE_MEASURES = MeasurePoints(Euclidean(1))
+
+
 def _quantile_breaks(mu: DiscreteMeasure):
     """Sorted support and cumulative weights: the quantile function's steps."""
     if not mu.is_probability:
@@ -568,20 +520,26 @@ def _quantile_breaks(mu: DiscreteMeasure):
     return xs, cum
 
 
-def _quantile_sq_dists(xs, ys) -> np.ndarray:
-    """``quantile_sq_w2`` for every pair; each pair's quantile functions are
-    constant between the merged breakpoints, so they are compared at midpoints."""
-    by = [_quantile_breaks(nu) for nu in ys]
-    out = np.empty((len(xs), len(by)))
-    for i, (x_mu, cum_mu) in enumerate(map(_quantile_breaks, xs)):
-        for j, (x_nu, cum_nu) in enumerate(by):
-            hi = np.union1d(cum_mu, cum_nu)
-            hi = hi[(hi > 0.0) & (hi <= 1.0)]
-            lo = np.concatenate([[0.0], hi[:-1]])
-            mid = 0.5 * (lo + hi)
-            d = x_mu[np.searchsorted(cum_mu, mid)] - x_nu[np.searchsorted(cum_nu, mid)]
-            out[i, j] = np.sum((hi - lo) * d * d)
-    return out
+def _quantile_embedding(xs, ys):
+    """Every quantile function of the block at the midpoints of the cells between
+    all the block's breakpoints, with the cell widths as column weights.
+
+    Each quantile function is constant on each cell, so the weighted squared
+    distance of two rows is the exact squared L^2 distance of the two functions.
+    """
+    bx = [_quantile_breaks(as_point(_LINE_MEASURES, m)) for m in xs]
+    by = bx if ys is xs else [_quantile_breaks(as_point(_LINE_MEASURES, m)) for m in ys]
+    # 1.0 is every quantile function's top breakpoint
+    hi = np.unique(np.concatenate([[1.0], *(cum for _, cum in bx), *(cum for _, cum in by)]))
+    hi = hi[(hi > 0.0) & (hi <= 1.0)]
+    lo = np.concatenate([[0.0], hi[:-1]])
+    mid = 0.5 * (lo + hi)
+
+    def rows(breaks):
+        return np.array([x[np.searchsorted(cum, mid)] for x, cum in breaks]).reshape(-1, len(mid))
+
+    ex = rows(bx)
+    return ex, ex if ys is xs else rows(by), hi - lo
 
 
 def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -591,4 +549,4 @@ def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     breakpoint partition; for 1-D measures this equals the squared
     2-Wasserstein distance.
     """
-    return float(_quantile_sq_dists([mu], [nu])[0, 0])
+    return float(_sq_dists(*_quantile_embedding([mu], [nu]))[0, 0])

@@ -4,7 +4,7 @@ Euclidean points, metrics, and finitely supported signed measures."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,14 +195,29 @@ def stack_points(space: PointSpace, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely supported signed measure; duplicate support points allowed."""
+    """Finitely supported signed measure; duplicate support points allowed.
+
+    A Euclidean support is validated as one array, which ``points_array``
+    returns and whose rows are ``points``.  ``_mass_override``, when set, is
+    the exact total mass (see ``measure_difference``); it takes no part in
+    equality.
+    """
 
     space: PointSpace
     points: tuple
     weights: np.ndarray
+    _mass_override: Optional[float] = field(default=None, compare=False, repr=False)
+    _rows: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        points = tuple(as_point(self.space, p) for p in self.points)
+        if isinstance(self.space, Euclidean):
+            # copied, so that the measure shares no array with its caller
+            rows = stack_points(self.space, self.points).copy()
+            rows.setflags(write=False)
+            object.__setattr__(self, "_rows", rows)
+            points = tuple(rows)
+        else:
+            points = tuple(as_point(self.space, p) for p in self.points)
         weights = np.asarray(self.weights, dtype=float)
         if len(points) < 1:
             raise DomainError("a measure needs at least one support point")
@@ -225,13 +240,12 @@ class DiscreteMeasure:
         )
 
     def __hash__(self):
-        return hash((self.space, len(self.points), self.weights.tobytes()))
+        return hash(measure_key(self))
 
     @property
     def total_mass(self) -> float:
-        cached = getattr(self, "_mass_override", None)
-        if cached is not None:
-            return cached
+        if self._mass_override is not None:
+            return self._mass_override
         # left-to-right order fixed for reproducibility
         total = 0.0
         for w in self.weights:
@@ -247,28 +261,30 @@ class DiscreteMeasure:
         return abs(self.total_mass) <= 1e-12
 
     def points_array(self) -> np.ndarray:
-        """Support as a (n, d) array; Euclidean base only."""
-        if not isinstance(self.space, Euclidean):
+        """Support as a read-only (n, d) array; Euclidean base only."""
+        if self._rows is None:
             raise ShapeError("points_array is defined for Euclidean support only")
-        return np.stack(self.points)
+        return self._rows
 
 
 def measure_key(m: DiscreteMeasure) -> bytes:
-    """The bytes of a measure's weights and support points, for ordering arguments.
+    """The bytes of a measure's weights and support points, for ordering arguments
+    and for hashing.
 
     Symmetric quantities are evaluated with their two measures in key order,
-    so that swapping the arguments gives the same bits.  Equal keys mean
-    bitwise equal weights and support.  A measure-valued support point
-    contributes its own key.
+    so that swapping the arguments gives the same bits.  -0.0 is read as 0.0,
+    so that equal measures have equal keys; equal keys of measures on one
+    Euclidean or function space mean equal weights and support.  A
+    measure-valued support point contributes its own key.
     """
-    parts = [m.weights.tobytes()]
+    if isinstance(m.space, Euclidean):
+        return (m.weights + 0.0).tobytes() + (m.points_array() + 0.0).tobytes()
+    parts = [(m.weights + 0.0).tobytes()]
     for p in m.points:
         if isinstance(p, FunctionSample):
-            parts.append(p.values.tobytes())
-        elif isinstance(p, DiscreteMeasure):
-            parts.append(measure_key(p))
+            parts.append((p.values + 0.0).tobytes())
         else:
-            parts.append(np.asarray(p, dtype=float).tobytes())
+            parts.append(measure_key(p))
     return b"".join(parts)
 
 
@@ -382,10 +398,9 @@ def measure_difference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeas
     """
     if mu.space != nu.space:
         raise ShapeError("measures live on different spaces")
-    diff = DiscreteMeasure(
+    return DiscreteMeasure(
         mu.space,
         mu.points + nu.points,
         np.concatenate([mu.weights, -nu.weights]),
+        _mass_override=mu.total_mass - nu.total_mass,
     )
-    object.__setattr__(diff, "_mass_override", mu.total_mass - nu.total_mass)
-    return diff

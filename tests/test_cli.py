@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from kernmetric.io import (
     read_grid_csv,
     read_measure_csv,
     read_points_csv,
+    write_gram_csv,
     write_grid_csv,
 )
 
@@ -70,6 +75,16 @@ def test_malformed_csv_raises_parse_error(tmp_path):
     path = write(tmp_path / "bad.csv", "x1,weight\n0,oops\n")
     with pytest.raises(ParseError):
         read_measure_csv(path)
+
+
+def test_write_gram_csv_matches_per_value_format(tmp_path, rng):
+    entries = rng.normal(size=(7, 7)) * 10.0 ** rng.integers(-300, 300, size=(7, 7))
+    entries[0, :4] = [0.0, -0.0, 5e-324, 1.0]
+    path = tmp_path / "gram.csv"
+    write_gram_csv(str(path), entries)
+    per_value = "".join(",".join(fmt(v) for v in row) + "\n" for row in entries)
+    assert path.read_text() == per_value
+    np.testing.assert_array_equal(read_gram_csv(str(path)), entries)
 
 
 def test_kernel_from_json_default_value():
@@ -233,6 +248,33 @@ def test_cli_test2_config_file(tmp_path, kernel_file, capsys):
     assert json.loads(out[0])["n_permutations"] == 49
 
 
+def test_cli_test2_config_values_are_typed_like_flags(tmp_path, kernel_file, capsys):
+    x = write(tmp_path / "x.csv", "x1\n0\n0.5\n1\n")
+    y = write(tmp_path / "y.csv", "x1\n1\n2\n3\n")
+    flags = ["test2", "--kernel", kernel_file, "--x", x, "--y", y]
+    assert main(flags + ["--perms", "9", "--alpha", "0.5", "--seed", "3"]) == 0
+    expected = capsys.readouterr().out
+    cfg = write(tmp_path / "cfg.json",
+                json.dumps({"perms": "9", "alpha": "0.5", "seed": 3}))
+    assert main(flags + ["--config", cfg]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("cfg", [
+    {"perms": "nine"}, {"perms": 9.5}, {"perms": "9.0"}, {"perms": True}, {"perms": None},
+    {"alpha": [0.05]}, {"seed": "-"}, {"x": 5}, {"y": True}, {"no_such_flag": 1},
+    ["perms", 9],  # not an object
+])
+def test_cli_test2_bad_config_value_is_usage_error(tmp_path, kernel_file, capsys, cfg):
+    x = write(tmp_path / "x.csv", "x1\n0\n0\n0\n")
+    y = write(tmp_path / "y.csv", "x1\n4\n4\n4\n")
+    path = write(tmp_path / "cfg.json", json.dumps(cfg))
+    assert main(["test2", "--kernel", kernel_file, "--x", x, "--y", y, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cfg.json" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # CLI: score
 
@@ -298,6 +340,30 @@ def test_cli_power_csv(tmp_path, kernel_file):
     assert big_rate >= 0.9
 
 
+def test_cli_power_config_values_are_typed_like_flags(tmp_path, kernel_file):
+    scenario = write(tmp_path / "s.json", json.dumps(
+        {"kind": "euclidean_mean_shift", "dim": 1, "n": 5, "m": 5, "shifts": [0.0, 2.0]}))
+    flags = ["power", "--kernel", kernel_file, "--scenario", scenario]
+    assert main(flags + ["--trials", "3", "--perms", "19", "--seed", "4",
+                         "--out", str(tmp_path / "flags.csv")]) == 0
+    cfg = write(tmp_path / "cfg.json", json.dumps(
+        {"trials": "3", "perms": 19, "seed": "4", "out": str(tmp_path / "config.csv")}))
+    assert main(flags + ["--config", cfg]) == 0
+    assert (tmp_path / "config.csv").read_text() == (tmp_path / "flags.csv").read_text()
+
+
+@pytest.mark.parametrize("cfg", [{"trials": "2.5"}, {"trials": [2]}, {"alpha": "small"},
+                                 {"scenario": 1}])
+def test_cli_power_bad_config_value_is_usage_error(tmp_path, kernel_file, capsys, cfg):
+    scenario = write(tmp_path / "s.json", json.dumps({"kind": "euclidean_mean_shift"}))
+    path = write(tmp_path / "cfg.json", json.dumps(cfg))
+    code = main(["power", "--kernel", kernel_file, "--scenario", scenario, "--trials", "2",
+                 "--out", str(tmp_path / "p.csv"), "--config", path])
+    assert code == 2
+    assert "cfg.json" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_cli_power_zero_trials_is_usage_error(tmp_path, kernel_file):
     scenario = write(tmp_path / "s.json", json.dumps({"kind": "euclidean_mean_shift"}))
     code = main(
@@ -339,3 +405,30 @@ def test_cli_selfcheck_passes(capsys):
 def test_cli_selfcheck_injected_fault(capsys):
     assert main(["selfcheck", "--inject-fault"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# CLI: standard output closed by the reader
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_closed_stdout_exits_without_traceback(tmp_path, kernel_file, unbuffered):
+    x = write(tmp_path / "x.csv", "x1\n0\n0.5\n1\n")
+    y = write(tmp_path / "y.csv", "x1\n1\n2\n3\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    if unbuffered:  # each print is written at once, not at the final flush
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kernmetric.cli", "test2", "--kernel", kernel_file,
+             "--x", x, "--y", y, "--perms", "9"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from kernmetric import (
     quantile_sq_w2,
     trapezoid_grid,
 )
+
+from kernmetric.kernels import _quantile_breaks, _quantile_embedding, _sq_dists
 
 from conftest import random_function, random_prob_measure
 
@@ -381,6 +384,71 @@ def test_quantile_monge_rejects_signed_measures():
         k(mu, bad)
 
 
+def _pairwise_merge_sq_dists(xs, ys) -> np.ndarray:
+    """Oracle: ``quantile_sq_w2`` for every pair; each pair's quantile functions are
+    constant between the merged breakpoints, so they are compared at midpoints."""
+    by = [_quantile_breaks(nu) for nu in ys]
+    out = np.empty((len(xs), len(by)))
+    for i, (x_mu, cum_mu) in enumerate(map(_quantile_breaks, xs)):
+        for j, (x_nu, cum_nu) in enumerate(by):
+            hi = np.union1d(cum_mu, cum_nu)
+            hi = hi[(hi > 0.0) & (hi <= 1.0)]
+            lo = np.concatenate([[0.0], hi[:-1]])
+            mid = 0.5 * (lo + hi)
+            d = x_mu[np.searchsorted(cum_mu, mid)] - x_nu[np.searchsorted(cum_nu, mid)]
+            out[i, j] = np.sum((hi - lo) * d * d)
+    return out
+
+
+def _line_measure(points, weights):
+    weights = np.asarray(weights, dtype=float)
+    return DiscreteMeasure(E1, tuple(points), weights / weights.sum())
+
+
+def _disjoint_breaks(rng):
+    # distinct random weights: no breakpoint below 1 is shared by two measures
+    return [_line_measure(rng.normal(size=n), rng.uniform(0.1, 1.0, size=n))
+            for n in (1, 2, 3, 5, 8, 13, 30)]
+
+
+def _ties_and_diracs(rng):
+    return [
+        dirac(E1, one_d(0.0)), dirac(E1, one_d(0.0)), dirac(E1, one_d(-2.5)),
+        _line_measure((1.0, 1.0, 1.0), (1, 1, 1)),  # one atom three times: a Dirac
+        _line_measure((0.5, -1.0, 0.5, 2.0), (1, 1, 1, 1)),  # tied atoms
+        _line_measure((0.0, 1.0, 2.0, 3.0), (1, 1, 1, 1)),  # the breakpoints of the line above
+        _line_measure((3.0, 2.0, 1.0, 0.0), (1, 1, 1, 1)),  # the same measure, reordered
+        _line_measure((0.0, 1.0), (1, 3)),
+        _line_measure(rng.normal(size=6), (1, 2, 1, 2, 1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("block", [_disjoint_breaks, _ties_and_diracs])
+@pytest.mark.parametrize("diff_block", [None, 40])
+def test_quantile_block_embedding_matches_pairwise_merge(block, diff_block, monkeypatch):
+    from kernmetric import spaces
+
+    if diff_block is not None:
+        monkeypatch.setattr(spaces, "DIFF_BLOCK", diff_block)  # several blocks of rows
+    rng = np.random.default_rng(7)
+    ms = block(rng)
+    extra = _disjoint_breaks(rng)[2:5]
+    k = make_quantile_monge(PHI, u_grid())
+    for xs, ys in ((ms, ms), (ms, extra), (extra, ms[:1]), (ms[1:2], ms[2:3])):
+        oracle = _pairwise_merge_sq_dists(xs, ys)
+        np.testing.assert_allclose(_sq_dists(*_quantile_embedding(xs, ys)), oracle,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(k.pairwise(xs, ys), PHI(oracle), rtol=1e-12, atol=0.0)
+    g = gram(k, ms).entries
+    np.testing.assert_allclose(g, PHI(_pairwise_merge_sq_dists(ms, ms)), rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(g, g.T)
+    for mu in ms:
+        for nu in ms:
+            assert k(mu, nu) == k(nu, mu)
+            assert quantile_sq_w2(mu, nu) == pytest.approx(
+                _pairwise_merge_sq_dists([mu], [nu])[0, 0], rel=1e-12, abs=0.0)
+
+
 def test_quantile_monge_unequal_weights(rng):
     # oracle: dense-grid Riemann sum over the quantile gap
     k = make_quantile_monge(PHI, u_grid())
@@ -472,6 +540,14 @@ def test_batched_gram_matches_scalar_calls(k, gen, monkeypatch):
     double_sum = sum(wx * wy * k(x, y) for x, wx in zip(mu.points, mu.weights)
                      for y, wy in zip(nu.points, nu.weights))
     assert kme_inner(k, mu, nu) == pytest.approx(double_sum, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("k,gen", _kernels())
+def test_kernels_pickle(k, gen):
+    rng = np.random.default_rng(5)
+    pts = [gen(rng) for _ in range(4)]
+    np.testing.assert_array_equal(gram(pickle.loads(pickle.dumps(k)), pts).entries,
+                                  gram(k, pts).entries)
 
 
 def test_batched_gram_rejects_non_finite_points():

@@ -185,6 +185,65 @@ def test_measure_difference_mass_exact(w1, w2):
     assert measure_difference(mu, nu).total_mass == mu.total_mass - nu.total_mass
 
 
+def test_measure_difference_mass_is_a_field_outside_equality():
+    space = Euclidean(1)
+    mu = DiscreteMeasure(space, (0.1, 0.2, 0.7), np.array([0.1, 0.2, 0.7]))
+    nu = DiscreteMeasure(space, (0.3,), np.array([1.0]))
+    assert mu._mass_override is None
+    d = measure_difference(mu, nu)
+    assert d._mass_override == mu.total_mass - nu.total_mass == d.total_mass
+    # the same atoms and weights, with the total mass summed from the weights
+    plain = DiscreteMeasure(space, d.points, d.weights)
+    assert plain._mass_override is None
+    assert plain == d and hash(plain) == hash(d)
+
+
+def test_measure_hash_covers_support():
+    space = Euclidean(2)
+    w = np.array([0.25, 0.75])
+    mu = DiscreteMeasure(space, (np.zeros(2), np.ones(2)), w)
+    nu = DiscreteMeasure(space, (np.zeros(2), np.full(2, 2.0)), w)
+    assert mu != nu and hash(mu) != hash(nu)
+    # equal measures hash alike, also where a coordinate is -0.0 on one side
+    twin = DiscreteMeasure(space, (np.array([-0.0, 0.0]), np.ones(2)), w.copy())
+    assert twin == mu and hash(twin) == hash(mu)
+    assert len({mu, nu, twin}) == 2
+
+
+@pytest.mark.parametrize("points,dim,error", [
+    ((0.0, np.nan), 1, DomainError),
+    ((np.array([0.0]), np.array([np.inf])), 1, DomainError),
+    ((np.zeros(2), np.array([1.0, -np.inf])), 2, DomainError),
+    ((np.zeros(2), np.zeros(3)), 2, ShapeError),  # ragged
+    ((np.zeros(2), np.zeros(2)), 3, ShapeError),  # wrong dimension
+    ((0.0, 1.0), 2, ShapeError),  # scalars in R^2
+    ((np.zeros((1, 1)),), 1, ShapeError),
+    (("a", "b"), 1, ShapeError),
+])
+def test_measure_rejects_bad_support(points, dim, error):
+    with pytest.raises(error):
+        DiscreteMeasure(Euclidean(dim), points, np.full(len(points), 1.0 / len(points)))
+
+
+def test_measure_support_as_scalars_or_rows():
+    space = Euclidean(1)
+    w = np.array([0.5, 0.5])
+    scalars = DiscreteMeasure(space, (0.5, 2.0), w)
+    rows = DiscreteMeasure(space, (np.array([0.5]), np.array([2.0])), w)
+    assert scalars == rows
+    np.testing.assert_array_equal(scalars.points_array(), [[0.5], [2.0]])
+    assert all(p.shape == (1,) for p in scalars.points)
+
+
+def test_measure_support_is_a_read_only_copy():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+    mu = DiscreteMeasure(Euclidean(2), pts, np.array([0.5, 0.5]))
+    pts[0, 0] = 9.0
+    np.testing.assert_array_equal(mu.points_array(), [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(ValueError):
+        mu.points[0][0] = 9.0
+
+
 def test_measure_space_nesting_limited():
     inner = MeasurePoints(Euclidean(1))
     with pytest.raises(DomainError):
