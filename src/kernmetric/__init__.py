@@ -15,7 +15,6 @@ from .kernels import (
     Identity,
     KernelSpec,
     LinearGridMap,
-    check_kernelqint,
     check_lp_nondegeneracy,
     gaussian_frequencies,
     make_distance_kernel,
@@ -50,10 +49,8 @@ from .spaces import (
     MeasurePoints,
     QuadratureGrid,
     dirac,
-    lp_norm,
     measure_difference,
     metric_dist,
-    sq_dist_l2,
     trapezoid_grid,
 )
 from .stats import (

@@ -15,13 +15,11 @@ import sys
 import numpy as np
 
 from . import io as kio
-from . import kernels as K
 from .embeddings import gram
 from .errors import KernmetricError, ShapeError
 from .io import ParseError
-from .profiles import Gaussian
 from .selfcheck import run_selfcheck
-from .spaces import DiscreteMeasure, Euclidean, FuncLp, FunctionSample, trapezoid_grid
+from .spaces import Euclidean, FuncLp, FunctionSample, trapezoid_grid
 from .stats import kernel_scores, mmd, permutation_test
 
 EXIT_OK = 0
@@ -183,14 +181,19 @@ def cmd_mmd(args) -> int:
     return EXIT_OK
 
 
-def cmd_test2(args) -> int:
-    _require(args, "x", "y")
+def _check_test_flags(args):
+    """The flags of the permutation test, shared by test2 and power."""
     if args.perms < 1:
         raise UsageError("--perms must be a positive integer")
     if args.seed < 0:
         raise UsageError("--seed must be a nonnegative integer")
     if not (0.0 < args.alpha < 1.0):
         raise UsageError("--alpha must lie in (0, 1)")
+
+
+def cmd_test2(args) -> int:
+    _require(args, "x", "y")
+    _check_test_flags(args)
     grid = _load_grid(args)
     xs, space = _load_sample_list(args.x, grid)
     ys, _ = _load_sample_list(args.y, grid)
@@ -225,26 +228,50 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _scenario_space(scenario: dict):
+def _scenario_value(scenario: dict, key: str, default, integer: bool):
+    """scenario[key] (default when absent), which must be a nonnegative JSON
+    integer, or any nonnegative JSON number when integer is False."""
+    val = scenario.get(key, default)
+    number = int if integer else (int, float)
+    if isinstance(val, bool) or not isinstance(val, number) or not val >= 0:
+        kind = "integer" if integer else "number"
+        raise UsageError(f"scenario {key!r} must be a nonnegative {kind}, got {val!r}")
+    return val
+
+
+def _read_scenario(path: str):
+    """(space, shifts, n, m, noise) from a scenario file, each value checked."""
+    try:
+        with open(path) as fh:
+            scenario = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(scenario, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     kind = scenario.get("kind")
     if kind == "euclidean_mean_shift":
-        return Euclidean(int(scenario.get("dim", 1)))
-    if kind == "function_mean_shift":
-        return FuncLp(trapezoid_grid(int(scenario.get("grid_m", 8))), 2.0)
-    raise UsageError(f"unknown scenario kind {kind!r}")
+        space = Euclidean(_scenario_value(scenario, "dim", 1, integer=True))
+    elif kind == "function_mean_shift":
+        space = FuncLp(trapezoid_grid(_scenario_value(scenario, "grid_m", 8, integer=True)), 2.0)
+    else:
+        raise UsageError(f"unknown scenario kind {kind!r}")
+    shifts = scenario.get("shifts", [0.0, 0.5, 1.0])
+    if not isinstance(shifts, list) or any(
+            isinstance(s, bool) or not isinstance(s, (int, float)) for s in shifts):
+        raise UsageError(f"scenario 'shifts' must be a list of numbers, got {shifts!r}")
+    n, m = (_scenario_value(scenario, key, 20, integer=True) for key in ("n", "m"))
+    return space, shifts, n, m, _scenario_value(scenario, "noise", 1.0, integer=False)
 
 
-def _scenario_samples(scenario: dict, space, shift: float, rng):
-    n = int(scenario.get("n", 20))
-    m = int(scenario.get("m", 20))
+def _scenario_samples(space, n: int, m: int, noise: float, shift: float, rng):
     if isinstance(space, Euclidean):
         xs = [rng.normal(size=space.dim) for _ in range(n)]
         ys = [rng.normal(size=space.dim) + shift for _ in range(m)]
         return xs, ys
     grid = space.grid
-    sd = float(scenario.get("noise", 1.0))
-    xs = [FunctionSample(grid, rng.normal(scale=sd, size=len(grid))) for _ in range(n)]
-    ys = [FunctionSample(grid, shift + rng.normal(scale=sd, size=len(grid))) for _ in range(m)]
+    xs = [FunctionSample(grid, rng.normal(scale=noise, size=len(grid))) for _ in range(n)]
+    ys = [FunctionSample(grid, shift + rng.normal(scale=noise, size=len(grid)))
+          for _ in range(m)]
     return xs, ys
 
 
@@ -252,20 +279,11 @@ def cmd_power(args) -> int:
     _require(args, "out")
     if args.trials < 1:
         raise UsageError("--trials must be a positive integer")
-    if args.perms < 1:
-        raise UsageError("--perms must be a positive integer")
-    if args.seed < 0:
-        raise UsageError("--seed must be a nonnegative integer")
+    _check_test_flags(args)
     if not args.scenario:
         raise UsageError("--scenario is required")
-    try:
-        with open(args.scenario) as fh:
-            scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{args.scenario}: {exc}") from exc
-    shifts = scenario.get("shifts", [0.0, 0.5, 1.0])
+    space, shifts, n, m, noise = _read_scenario(args.scenario)
     grid = _load_grid(args)
-    space = _scenario_space(scenario)
     k = _load_kernel(args, space_hint=space, grid=grid)
     lines = ["shift,rejection_rate,trials,mc_stderr"]
     for shift_index, shift in enumerate(shifts):
@@ -275,7 +293,7 @@ def cmd_power(args) -> int:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(args.seed, shift_index, trial))
             )
-            xs, ys = _scenario_samples(scenario, space, float(shift), rng)
+            xs, ys = _scenario_samples(space, n, m, noise, float(shift), rng)
             res = permutation_test(
                 k, xs, ys, n_perm=args.perms, seed=int(rng.integers(2**32))
             )

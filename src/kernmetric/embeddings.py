@@ -18,12 +18,11 @@ __all__ = ["GramMatrix", "gram", "kme_sq_norm", "kme_inner", "min_eigenvalue"]
 @dataclass(frozen=True)
 class GramMatrix:
     entries: np.ndarray
-    point_count: int
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.point_count, self.point_count):
-            raise ShapeError("entries must be a square matrix of the point count")
+        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+            raise ShapeError("entries must be a square matrix")
         if not np.all(np.isfinite(e)):
             raise DomainError("Gram entries must be finite")
         e.setflags(write=False)
@@ -32,9 +31,7 @@ class GramMatrix:
 
 def gram(k: KernelSpec, points: Sequence) -> GramMatrix:
     """Exactly symmetric Gram matrix of the kernel on the given points."""
-    pts = list(points)
-    entries = _base_gram(k, pts)
-    return GramMatrix(entries, point_count=len(pts))
+    return GramMatrix(_base_gram(k, points))
 
 
 def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:

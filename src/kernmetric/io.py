@@ -5,16 +5,15 @@ round-trips are bit-stable."""
 from __future__ import annotations
 
 import csv
-import json
 import os
 import tempfile
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from . import kernels as K
 from .errors import DomainError, ShapeError
-from .profiles import Gaussian, profile_from_json, profile_to_json
+from .profiles import Gaussian, profile_from_json
 from .spaces import (
     DiscreteMeasure,
     Euclidean,

@@ -66,7 +66,6 @@ __all__ = [
     "make_kme_measure",
     "make_fourier_measure",
     "make_quantile_monge",
-    "check_kernelqint",
     "check_lp_nondegeneracy",
     "gaussian_frequencies",
     "quantile_sq_w2",
@@ -90,12 +89,6 @@ class KernelSpec:
     def _one(self, x, y) -> float:
         """k(x, y) as the 1 x 1 block of ``pairwise``."""
         return float(self.pairwise([x], [y])[0, 0])
-
-    def _check(self, x):
-        return as_point(self.space, x)
-
-    def _stack(self, points) -> np.ndarray:
-        return stack_points(self.space, points)
 
 
 def _require_strict(phi: PhiProfile):
@@ -212,7 +205,8 @@ class _MetricPhi(KernelSpec):
         return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        return self.phi(metric_dists(self.metric, self._stack(xs), self._stack(ys)))
+        return self.phi(metric_dists(self.metric, stack_points(self.space, xs),
+                                     stack_points(self.space, ys)))
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,7 @@ class _DistanceKernel(KernelSpec):
         return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        xs, ys, z0 = self._stack(xs), self._stack(ys), self._stack([self.z0])
+        xs, ys, z0 = (stack_points(self.space, pts) for pts in (xs, ys, [self.z0]))
         return (
             metric_dists(self.metric, xs, z0)
             + metric_dists(self.metric, z0, ys)
@@ -271,7 +265,7 @@ class _KmeMeasure(KernelSpec):
         """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
         one mu at a time so that no temporary spans the atoms of two measures of
         xs; exactly 0 where both sides are the same measure (equal ``measure_key``)."""
-        xs, ys = [self._check(m) for m in xs], [self._check(m) for m in ys]
+        xs, ys = [as_point(self.space, m) for m in xs], [as_point(self.space, m) for m in ys]
         if not xs or not ys:
             return np.zeros((len(xs), len(ys)))
         atoms = [p for nu in ys for p in nu.points]
@@ -295,7 +289,7 @@ class _KmeMeasure(KernelSpec):
         return float(self.embedding_sq_dists([mu], [nu])[0, 0])
 
     def __call__(self, mu, nu) -> float:
-        mu, nu = self._check(mu), self._check(nu)
+        mu, nu = as_point(self.space, mu), as_point(self.space, nu)
         # canonical order, so the value is bitwise symmetric in (mu, nu)
         if measure_key(nu) < measure_key(mu):
             mu, nu = nu, mu
@@ -345,13 +339,14 @@ def make_lp_operator(
     _require_strict(phi)
     if not isinstance(k1.space, Euclidean) or k1.space.dim != 1:
         raise ShapeError("the base kernel must live on the 1-D point space of the grid")
-    if not check_lp_nondegeneracy(k1, grid):
+    # the double quadrature form f' M f is ||f R||^2, with R R' = M from eigh
+    form = _weighted_form(k1, grid)
+    lam, vecs = np.linalg.eigh(form)
+    if not _nondegenerate(lam, form):
         raise DegeneracyError(
             "base kernel is degenerate on the grid: the weighted Gram form "
             "annihilates some nonzero function"
         )
-    # the double quadrature form f' M f is ||f R||^2, with R R' = M from eigh
-    lam, vecs = np.linalg.eigh(_weighted_form(k1, grid))
     root = vecs * np.sqrt(np.maximum(lam, 0.0))
     root.setflags(write=False)
     space = FuncLp(grid, float(p))
@@ -362,33 +357,19 @@ def _operator_embedding(space: FuncLp, root: np.ndarray, xs, ys):
     return stack_points(space, xs) @ root, stack_points(space, ys) @ root, None
 
 
-def check_kernelqint(k1: KernelSpec, q: float, grid: QuadratureGrid) -> float:
-    """Quadrature value of the integral of k1(x, x)^(q/2); finite on any grid.
-
-    Reported for documentation and overflow detection; q is the conjugate
-    exponent of the target L^p space.
-    """
-    if not (1.0 < q < np.inf):
-        raise DomainError(f"q must lie in (1, inf), got {q}")
-    diag = np.array([k1(np.array([t]), np.array([t])) for t in grid.nodes])
-    with np.errstate(over="raise"):
-        try:
-            val = float(np.sum(grid.weights * diag ** (q / 2.0)))
-        except FloatingPointError as exc:
-            raise DomainError("overflow while evaluating the diagonal integral") from exc
-    if not np.isfinite(val):
-        raise DomainError("diagonal integral overflowed")
-    return val
-
-
 def check_lp_nondegeneracy(k1: KernelSpec, grid: QuadratureGrid) -> bool:
     """Discrete surrogate of the strict quadratic-form condition.
 
     Builds M[i, j] = w_i k1(x_i, x_j) w_j and requires its smallest
     eigenvalue to exceed 1e-10 * trace(M).
     """
-    m = _weighted_form(k1, grid)
-    return bool(np.linalg.eigvalsh(m)[0] > 1e-10 * np.trace(m))
+    form = _weighted_form(k1, grid)
+    return _nondegenerate(np.linalg.eigvalsh(form), form)
+
+
+def _nondegenerate(lam: np.ndarray, form: np.ndarray) -> bool:
+    """Whether the smallest of the ascending eigenvalues lam of form exceeds 1e-10 * trace."""
+    return bool(lam[0] > 1e-10 * np.trace(form))
 
 
 def _weighted_form(k1: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
@@ -446,23 +427,16 @@ def gaussian_frequencies(n: int, dim: int, seed: int) -> tuple:
     return freqs, weights
 
 
-def make_fourier_measure(
-    phi: PhiProfile, freqs, freq_weights=None
-) -> KernelSpec:
+def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:
     """Kernel on probability measures over R^d comparing Fourier transforms.
 
     Frequency atoms discretize the L^2(lambda) norm of the difference of
-    characteristic functions; ``freqs`` may be a list of (vector, weight)
-    pairs or an array combined with ``freq_weights``.
+    characteristic functions: ``freqs`` holds the n atoms as rows and
+    ``freq_weights`` their n weights.
     """
     _require_strict(phi)
-    if freq_weights is None:
-        pairs = list(freqs)
-        fr = np.atleast_2d(np.asarray([np.atleast_1d(v) for v, _ in pairs], dtype=float))
-        fw = np.asarray([w for _, w in pairs], dtype=float)
-    else:
-        fr = np.atleast_2d(np.asarray(freqs, dtype=float))
-        fw = np.asarray(freq_weights, dtype=float)
+    fr = np.atleast_2d(np.asarray(freqs, dtype=float))
+    fw = np.asarray(freq_weights, dtype=float)
     if fr.shape[0] != fw.shape[0]:
         raise ShapeError("frequency atoms and weights disagree in length")
     if np.any(fw <= 0):

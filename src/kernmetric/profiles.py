@@ -15,7 +15,7 @@ evaluable families are shipped:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -52,10 +52,6 @@ class DiscreteLaplace:
                 raise DomainError(f"atom weight must positive, got {weight}")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
-
     def __call__(self, t):
         t, scalar = _check_t(t)
         return _result(sum(w * np.exp(-x * t) for x, w in self.atoms), scalar)
@@ -75,7 +71,6 @@ class Gaussian:
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
 
-    mass = 1.0
     strictly_pd = True
 
     def __call__(self, t):
@@ -93,7 +88,6 @@ class ExpSqrt:
         if self.c <= 0:
             raise DomainError(f"c must be positive, got {self.c}")
 
-    mass = 1.0
     strictly_pd = True
 
     def __call__(self, t):
@@ -114,7 +108,6 @@ class InverseRational:
         if self.scale <= 0:
             raise DomainError(f"scale must be positive, got {self.scale}")
 
-    mass = 1.0
     strictly_pd = True
 
     def __call__(self, t):

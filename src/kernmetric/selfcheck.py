@@ -26,10 +26,8 @@ from .spaces import (
     FunctionSample,
     LpMetric,
     dirac,
-    lp_norm,
     measure_difference,
     metric_dist,
-    sq_dist_l2,
     trapezoid_grid,
 )
 from .stats import (
@@ -106,11 +104,13 @@ def check_constant_profile_excluded():
 
 def check_trapezoid_exactness():
     grid = trapezoid_grid(101)
+    l2 = LpMetric(grid, 2.0)
+    zero = FunctionSample(grid, np.zeros(101))
     one = FunctionSample(grid, np.ones(101))
     lin = FunctionSample(grid, grid.nodes)
     return (
-        abs(lp_norm(one, 2.0) - 1.0) < 1e-12
-        and abs(lp_norm(lin, 2.0) - 1.0 / np.sqrt(3.0)) < 1e-3
+        abs(metric_dist(l2, one, zero) - 1.0) < 1e-12
+        and abs(metric_dist(l2, lin, zero) - 1.0 / np.sqrt(3.0)) < 1e-3
     )
 
 
@@ -245,7 +245,7 @@ def _separated_points(rng, gen, count, min_dist=0.1):
 
 def _point_dist(a, b):
     if isinstance(a, FunctionSample):
-        return np.sqrt(sq_dist_l2(a, b))
+        return metric_dist(LpMetric(a.grid, 2.0), a, b)
     if isinstance(a, DiscreteMeasure):
         stacked_a = np.sort(a.points_array().ravel())
         stacked_b = np.sort(b.points_array().ravel())

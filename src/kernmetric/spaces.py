@@ -4,7 +4,7 @@ Euclidean points, metrics, and finitely supported signed measures."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "DiscreteMeasure",
     "trapezoid_grid",
     "stack_points",
-    "lp_norm",
-    "sq_dist_l2",
     "metric_dist",
     "metric_dists",
     "reduce_diffs",
@@ -73,7 +71,8 @@ class QuadratureGrid:
         )
 
     def __hash__(self):
-        return hash((self.domain, self.nodes.tobytes(), self.weights.tobytes()))
+        # + 0.0 reads a node -0.0 as 0.0, so that equal grids hash alike
+        return hash((self.domain, (self.nodes + 0.0).tobytes(), self.weights.tobytes()))
 
 
 def trapezoid_grid(m: int, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
@@ -113,7 +112,7 @@ class FunctionSample:
         )
 
     def __hash__(self):
-        return hash((self.grid, self.values.tobytes()))
+        return hash((self.grid, (self.values + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -292,31 +291,12 @@ def dirac(space: PointSpace, x) -> DiscreteMeasure:
     return DiscreteMeasure(space, (x,), np.array([1.0]))
 
 
-def lp_norm(f: FunctionSample, p: float) -> float:
-    """Quadrature value of ||f||_{L^p}, p >= 1."""
-    if p < 1:
-        raise DomainError(f"lp_norm needs p >= 1, got {p}")
-    w = f.grid.weights
-    return float(np.sum(w * np.abs(f.values) ** p) ** (1.0 / p))
-
-
-def sq_dist_l2(f: FunctionSample, g: FunctionSample) -> float:
-    """Squared L^2(lambda) distance between two samples on the same grid."""
-    if f.grid != g.grid:
-        raise ShapeError("function samples live on different grids")
-    d = f.values - g.values
-    return float(np.sum(f.grid.weights * d * d))
-
-
 @dataclass(frozen=True)
 class EuclideanMetric:
     dim: int
 
     def space(self) -> PointSpace:
         return Euclidean(self.dim)
-
-    def __call__(self, x, y) -> float:
-        return metric_dist(self, x, y)
 
 
 @dataclass(frozen=True)
@@ -337,9 +317,6 @@ class LpMetric:
 
     def space(self) -> PointSpace:
         return FuncLp(self.grid, self.p)
-
-    def __call__(self, x, y) -> float:
-        return metric_dist(self, x, y)
 
 
 MetricSpec = Union[EuclideanMetric, LpMetric]

@@ -383,6 +383,33 @@ def test_cli_power_negative_seed_is_usage_error(tmp_path, kernel_file):
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_cli_power_alpha_outside_unit_interval_is_usage_error(tmp_path, kernel_file, capsys):
+    scenario = write(tmp_path / "s.json", json.dumps({"kind": "euclidean_mean_shift"}))
+    code = main(
+        ["power", "--kernel", kernel_file, "--scenario", scenario,
+         "--trials", "2", "--alpha", "1.5", "--out", str(tmp_path / "p.csv")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", [
+    [{"kind": "euclidean_mean_shift"}],
+    {"kind": "euclidean_mean_shift", "n": "abc"},
+    {"kind": "euclidean_mean_shift", "shifts": "ab"},
+    {"kind": "function_mean_shift", "noise": -1},
+    {"kind": "euclidean_mean_shift", "dim": 2.7},
+], ids=["list", "n_string", "shifts_string", "negative_noise", "fractional_dim"])
+def test_cli_power_malformed_scenario_is_usage_error(tmp_path, kernel_file, capsys, scenario):
+    path = write(tmp_path / "s.json", json.dumps(scenario))
+    code = main(["power", "--kernel", kernel_file, "--scenario", path,
+                 "--trials", "2", "--perms", "9", "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_cli_power_unknown_scenario_is_usage_error(tmp_path, kernel_file):
     scenario = write(tmp_path / "s.json", json.dumps({"kind": "mystery"}))
     code = main(
@@ -396,10 +423,23 @@ def test_cli_power_unknown_scenario_is_usage_error(tmp_path, kernel_file):
 # CLI: selfcheck
 
 
+SELFCHECK_NAMES = [
+    "profiles_nonincreasing", "profiles_completely_monotone", "discrete_laplace_direct_sum",
+    "constant_profile_excluded", "trapezoid_exactness", "triangle_inequality",
+    "measure_difference_mass", "kernel_symmetry", "kernel_diagonal", "kernel_boundedness",
+    "gram_psd", "gram_strict_pd", "tee_identity_reduction", "kme_argument_double_sum",
+    "quantile_monge_matches_sorting", "mixture_lemma", "kme_clamp_and_scaling",
+    "cauchy_schwarz", "ispd_on_signed_measures", "distance_kernel_z0_invariance",
+    "mmd_identity_chain", "score_propriety", "score_mmd_half_identity",
+    "energy_distance_equivalence", "mmd_pseudometric", "permutation_determinism",
+    "permutation_separated_functions", "u_statistic_equal_samples",
+]
+
+
 def test_cli_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
-    assert len(lines) >= 20
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["PASS " + name for name in SELFCHECK_NAMES]
 
 
 def test_cli_selfcheck_injected_fault(capsys):

@@ -37,7 +37,7 @@ def test_gram_two_points():
     g = gram(k, [one_d(0.0), one_d(math.sqrt(2.0))])  # squared distance 2
     expected = np.array([[1.0, math.exp(-1.0)], [math.exp(-1.0), 1.0]])
     np.testing.assert_allclose(g.entries, expected, rtol=1e-15)
-    assert g.point_count == 2
+    assert g.entries.shape == (2, 2)
 
 
 def test_gram_exactly_symmetric(rng):
@@ -56,15 +56,17 @@ def test_gram_entries_read_only():
 
 def test_gram_matrix_shape_validation():
     with pytest.raises(ShapeError):
-        GramMatrix(np.zeros((2, 3)), point_count=2)
+        GramMatrix(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        GramMatrix(np.zeros(4))
     with pytest.raises(DomainError):
-        GramMatrix(np.array([[np.nan]]), point_count=1)
+        GramMatrix(np.array([[np.nan]]))
 
 
 def test_min_eigenvalue_known_2x2():
     # eigenvalues of [[1, r], [r, 1]] are 1 - r and 1 + r
     r = math.exp(-1.0)
-    g = GramMatrix(np.array([[1.0, r], [r, 1.0]]), point_count=2)
+    g = GramMatrix(np.array([[1.0, r], [r, 1.0]]))
     assert min_eigenvalue(g) == pytest.approx(1.0 - r, rel=1e-14)
 
 

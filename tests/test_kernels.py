@@ -21,7 +21,6 @@ from kernmetric import (
     LinearGridMap,
     LpMetric,
     ProfileClassError,
-    check_kernelqint,
     check_lp_nondegeneracy,
     dirac,
     gaussian_frequencies,
@@ -167,26 +166,6 @@ def test_check_lp_nondegeneracy(grid, base_kernel):
     assert not check_lp_nondegeneracy(wide, grid)
 
 
-def test_check_kernelqint_unit_diagonal(grid, base_kernel):
-    for q in (1.5, 2.0, 3.0):
-        assert check_kernelqint(base_kernel, q, grid) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_check_kernelqint_scaled_diagonal(grid):
-    k = make_mixture([(make_radial_hilbert(Gaussian(alpha=50.0), E1), 4.0)])
-    assert check_kernelqint(k, 2.0, grid) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_check_kernelqint_mixture_unit_mass(grid):
-    k = make_mixture(
-        [
-            (make_radial_hilbert(Gaussian(alpha=50.0), E1), 0.5),
-            (make_radial_hilbert(Gaussian(alpha=80.0), E1), 0.5),
-        ]
-    )
-    assert check_kernelqint(k, 2.0, grid) == pytest.approx(1.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # metric kernels
 
@@ -307,7 +286,7 @@ def test_kme_measure_matches_double_loop(rng):
 
 
 def test_fourier_measure_single_frequency():
-    k = make_fourier_measure(Gaussian(alpha=1.0), [(np.array([1.0]), 1.0)])
+    k = make_fourier_measure(Gaussian(alpha=1.0), [[1.0]], [1.0])
     mu = dirac(E1, one_d(0.0))
     nu = dirac(E1, one_d(math.pi))
     assert k(mu, mu) == 1.0
@@ -334,7 +313,7 @@ def test_fourier_measure_matches_trig_oracle(rng):
 
 def test_fourier_measure_weight_normalization():
     with pytest.raises(DomainError):
-        make_fourier_measure(PHI, [(np.array([1.0]), 0.5), (np.array([2.0]), 0.6)])
+        make_fourier_measure(PHI, [[1.0], [2.0]], [0.5, 0.6])
 
 
 def test_fourier_frequencies_deterministic():

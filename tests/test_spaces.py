@@ -17,10 +17,8 @@ from kernmetric import (
     QuadratureGrid,
     ShapeError,
     dirac,
-    lp_norm,
     measure_difference,
     metric_dist,
-    sq_dist_l2,
     trapezoid_grid,
 )
 
@@ -54,47 +52,22 @@ def test_grid_rejects_non_finite(nodes, weights):
         QuadratureGrid(np.array(nodes), np.array(weights))
 
 
-def test_lp_norm_constant_one():
-    grid = trapezoid_grid(11)
-    f = FunctionSample(grid, np.ones(11))
-    assert lp_norm(f, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lp_norm_zero():
-    grid = trapezoid_grid(11)
-    f = FunctionSample(grid, np.zeros(11))
-    for p in (1.0, 1.5, 2.0, 3.0):
-        assert lp_norm(f, p) == 0.0
-
-
-def test_lp_norm_linear_function():
-    grid = trapezoid_grid(1001)
-    f = FunctionSample(grid, grid.nodes)
-    assert lp_norm(f, 2.0) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
-
-
-def test_lp_norm_rejects_small_p():
-    grid = trapezoid_grid(11)
-    f = FunctionSample(grid, np.ones(11))
-    with pytest.raises(DomainError):
-        lp_norm(f, 0.5)
-
-
 def test_sq_dist_examples():
     grid = trapezoid_grid(1001)
+    m = LpMetric(grid, 2.0)
     f = FunctionSample(grid, np.ones(1001))
     g = FunctionSample(grid, np.zeros(1001))
     lin = FunctionSample(grid, grid.nodes)
-    assert sq_dist_l2(f, f) == 0.0
-    assert sq_dist_l2(f, g) == pytest.approx(1.0, abs=1e-12)
-    assert sq_dist_l2(lin, g) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert metric_dist(m, f, f) == 0.0
+    assert metric_dist(m, f, g) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert metric_dist(m, lin, g) ** 2 == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_sq_dist_grid_mismatch():
     f = FunctionSample(trapezoid_grid(5), np.zeros(5))
     g = FunctionSample(trapezoid_grid(6), np.zeros(6))
     with pytest.raises(ShapeError):
-        sq_dist_l2(f, g)
+        metric_dist(LpMetric(f.grid, 2.0), f, g)
 
 
 def test_euclidean_metric_345():
@@ -106,7 +79,9 @@ def test_lp_metric_p2_is_sqrt_sq_dist(rng):
     grid = trapezoid_grid(21)
     m = LpMetric(grid, 2.0)
     f, g = random_function(rng, grid), random_function(rng, grid)
-    assert metric_dist(m, f, g) == pytest.approx(math.sqrt(sq_dist_l2(f, g)), rel=1e-12)
+    d = f.values - g.values
+    assert metric_dist(m, f, g) == pytest.approx(math.sqrt(np.sum(grid.weights * d * d)),
+                                                 rel=1e-12)
 
 
 def test_lp_metric_p15_on_indicator():
@@ -208,6 +183,16 @@ def test_measure_hash_covers_support():
     twin = DiscreteMeasure(space, (np.array([-0.0, 0.0]), np.ones(2)), w.copy())
     assert twin == mu and hash(twin) == hash(mu)
     assert len({mu, nu, twin}) == 2
+
+
+def test_equal_samples_and_grids_hash_alike_across_signed_zeros():
+    grid = QuadratureGrid(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]))
+    twin = QuadratureGrid(np.array([-0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]))
+    assert twin == grid and hash(twin) == hash(grid)
+    f = FunctionSample(grid, [0.0, 1.0, 2.0])
+    g = FunctionSample(twin, [-0.0, 1.0, 2.0])
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
 
 
 @pytest.mark.parametrize("points,dim,error", [

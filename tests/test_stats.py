@@ -22,6 +22,7 @@ from kernmetric import (
     make_distance_kernel,
     make_kme_measure,
     make_lp_operator,
+    make_quantile_monge,
     make_radial_hilbert,
     measure_difference,
     mmd,
@@ -255,6 +256,33 @@ def test_permutation_separated_functions():
     ones = [FunctionSample(grid, np.ones(12)) for _ in range(20)]
     res = permutation_test(k, zeros, ones, n_perm=99, seed=1)
     assert res.p_value == pytest.approx(0.01, abs=1e-15)
+
+
+def _null_setup(rule):
+    """A kernel and a generator of draws from one distribution."""
+    if rule == "lp_operator":
+        grid = trapezoid_grid(12)
+        base = make_radial_hilbert(Gaussian(alpha=50.0), E1)
+        return (make_lp_operator(PHI, base, grid, 1.5),
+                lambda rng: FunctionSample(grid, rng.normal(size=12)))
+    return (make_quantile_monge(PHI, trapezoid_grid(8, 0.0, 1.0)),
+            lambda rng: DiscreteMeasure(E1, tuple(np.array([v]) for v in rng.normal(size=3)),
+                                        np.full(3, 1.0 / 3.0)))
+
+
+@pytest.mark.parametrize("rule", ["lp_operator", "quantile"])
+def test_permutation_null_calibration(rule):
+    # both samples from one distribution: 400 tests at level 0.05 reject
+    # 20 times on average, and 7..33 is 20 +- 3 binomial standard deviations
+    k, draw = _null_setup(rule)
+    rejections = 0
+    for trial in range(400):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(0, trial)))
+        xs = [draw(rng) for _ in range(10)]
+        ys = [draw(rng) for _ in range(10)]
+        res = permutation_test(k, xs, ys, n_perm=99, seed=int(rng.integers(2**32)))
+        rejections += res.p_value <= 0.05
+    assert 7 <= rejections <= 33
 
 
 def test_permutation_deterministic(rng):
