@@ -264,14 +264,13 @@ def _read_scenario(path: str):
 
 
 def _scenario_samples(space, n: int, m: int, noise: float, shift: float, rng):
+    """The two samples of one trial, each drawn as one (rows, d) array: the same
+    values as one draw per sample, since the generator fills arrays in row order."""
     if isinstance(space, Euclidean):
-        xs = [rng.normal(size=space.dim) for _ in range(n)]
-        ys = [rng.normal(size=space.dim) + shift for _ in range(m)]
-        return xs, ys
+        return list(rng.normal(size=(n, space.dim))), list(rng.normal(size=(m, space.dim)) + shift)
     grid = space.grid
-    xs = [FunctionSample(grid, rng.normal(scale=noise, size=len(grid))) for _ in range(n)]
-    ys = [FunctionSample(grid, shift + rng.normal(scale=noise, size=len(grid)))
-          for _ in range(m)]
+    xs = [FunctionSample(grid, row) for row in rng.normal(scale=noise, size=(n, len(grid)))]
+    ys = [FunctionSample(grid, row) for row in shift + rng.normal(scale=noise, size=(m, len(grid)))]
     return xs, ys
 
 

@@ -44,7 +44,7 @@ def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
     """
     if mu.space != k.space:
         raise ShapeError("measure does not live on the kernel's space")
-    g = _base_gram(k, mu.points)
+    g = _base_gram(k, mu.support)
     w = mu.weights
     val = float(w @ (g @ w))
     scale = k.diag_value
@@ -66,7 +66,7 @@ def kme_inner(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """RKHS inner product of two embedded measures (bilinear double sum)."""
     if mu.space != k.space or nu.space != k.space:
         raise ShapeError("measure does not live on the kernel's space")
-    return float(mu.weights @ (k.pairwise(mu.points, nu.points) @ nu.weights))
+    return float(mu.weights @ (k.pairwise(mu.support, nu.support) @ nu.weights))
 
 
 def min_eigenvalue(g: GramMatrix) -> float:

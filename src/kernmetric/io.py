@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels as K
 from .errors import DomainError, ShapeError
-from .profiles import Gaussian, profile_from_json
+from .profiles import Gaussian, _is_number, profile_from_json
 from .spaces import (
     DiscreteMeasure,
     Euclidean,
@@ -157,40 +157,87 @@ def read_gram_csv(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernel-spec JSON
+# kernel-spec JSON: every value is read as the JSON type it must have, and a
+# value of another type raises ParseError
+
+_REQUIRED = object()
 
 
-def _space_from_json(obj: dict, grid: QuadratureGrid = None):
+def _object(val, what: str) -> dict:
+    if not isinstance(val, dict):
+        raise ParseError(f"{what} must be a JSON object, got {val!r}")
+    return val
+
+
+def _value(obj: dict, key: str, default=_REQUIRED):
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ParseError(f"missing key {key!r} in {obj!r}")
+    return default
+
+
+def _number(obj: dict, key: str, default=_REQUIRED, integer: bool = False):
+    """obj[key] (default when absent): a JSON integer as an int, or, when integer
+    is False, any JSON number as a float."""
+    val = _value(obj, key, default)
+    if not (_is_number(val) and (isinstance(val, int) or not integer)):
+        kind = "an integer" if integer else "a number"
+        raise ParseError(f"{key!r} must be {kind}, got {val!r}")
+    return val if integer else float(val)
+
+
+def _array(obj: dict, key: str, ndim: int) -> np.ndarray:
+    """obj[key], a nonempty ndim-deep JSON list of numbers, as a float array."""
+    val = _value(obj, key)
+
+    def numbers(v, depth):
+        if depth == 0:
+            return _is_number(v)
+        return isinstance(v, list) and len(v) > 0 and all(numbers(x, depth - 1) for x in v)
+
+    if numbers(val, ndim):
+        try:
+            return np.asarray(val, dtype=float)
+        except ValueError:  # rows of unequal length
+            pass
+    raise ParseError(f"{key!r} must be a nonempty {ndim}-D array of numbers, got {val!r}")
+
+
+def _space_from_json(obj, grid: QuadratureGrid = None):
+    obj = _object(obj, "space")
     kind = obj.get("kind")
     if kind == "euclidean":
-        return Euclidean(int(obj["dim"]))
+        return Euclidean(_number(obj, "dim", integer=True))
     if kind == "func_lp":
         g = grid if grid is not None else _grid_from_json(obj.get("grid"))
-        return FuncLp(g, float(obj.get("p", 2.0)))
+        return FuncLp(g, _number(obj, "p", 2.0))
     if kind == "measure":
-        return MeasurePoints(_space_from_json(obj["base"], grid))
+        return MeasurePoints(_space_from_json(_value(obj, "base"), grid))
     raise ParseError(f"unknown space kind {kind!r}")
 
 
 def _grid_from_json(obj):
     if obj is None:
         raise ParseError("a grid is required (inline or via --grid)")
-    if isinstance(obj, dict) and "nodes" in obj:
-        nodes = np.asarray(obj["nodes"], dtype=float)
-        weights = np.asarray(obj["weights"], dtype=float)
+    obj = _object(obj, "grid")
+    if "nodes" in obj:
+        nodes, weights = _array(obj, "nodes", 1), _array(obj, "weights", 1)
         return QuadratureGrid(nodes, weights, (float(nodes[0]), float(nodes[-1])))
-    if isinstance(obj, dict) and "m" in obj:
-        return trapezoid_grid(int(obj["m"]), float(obj.get("a", 0.0)), float(obj.get("b", 1.0)))
+    if "m" in obj:
+        return trapezoid_grid(_number(obj, "m", integer=True), _number(obj, "a", 0.0),
+                              _number(obj, "b", 1.0))
     raise ParseError(f"cannot interpret grid spec {obj!r}")
 
 
-def _metric_from_json(obj: dict, grid: QuadratureGrid = None):
+def _metric_from_json(obj, grid: QuadratureGrid = None):
+    obj = _object(obj, "metric")
     kind = obj.get("kind", "euclidean")
     if kind == "euclidean":
-        return EuclideanMetric(int(obj.get("dim", 1)))
+        return EuclideanMetric(_number(obj, "dim", 1, integer=True))
     if kind == "lp":
         g = grid if grid is not None else _grid_from_json(obj.get("grid"))
-        return LpMetric(g, float(obj.get("p", 2.0)))
+        return LpMetric(g, _number(obj, "p", 2.0))
     raise ParseError(f"unknown metric kind {kind!r}")
 
 
@@ -200,50 +247,46 @@ def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
     Layout: {"space": {...}, "rule": {"kind": ..., ...}, "phi": {...}}.
     A grid loaded from --grid, when given, backs function-valued spaces.
     """
-    rule = spec.get("rule", {})
+    spec = _object(spec, "kernel spec")
+    rule = _object(spec.get("rule", {}), "rule")
     kind = rule.get("kind")
     phi = profile_from_json(spec["phi"]) if "phi" in spec else Gaussian(alpha=0.5)
 
     if kind == "radial_hilbert":
-        space = _space_from_json(spec["space"], grid)
-        return K.make_radial_hilbert(phi, space)
+        return K.make_radial_hilbert(phi, _space_from_json(_value(spec, "space"), grid))
     if kind == "tee_radial":
-        space = _space_from_json(spec["space"], grid)
+        space = _space_from_json(_value(spec, "space"), grid)
         return K.make_tee_radial(phi, _map_from_json(rule), space)
     if kind == "lp_operator":
         g = grid if grid is not None else _grid_from_json(rule.get("grid"))
         k1 = kernel_from_json(rule["k1"], grid) if "k1" in rule else K.make_radial_hilbert(
             Gaussian(alpha=0.5), Euclidean(1)
         )
-        return K.make_lp_operator(phi, k1, g, float(rule["p"]))
+        return K.make_lp_operator(phi, k1, g, _number(rule, "p"))
     if kind == "metric_phi":
         return K.make_metric_phi(phi, _metric_from_json(rule.get("metric", {}), grid))
     if kind == "distance":
         metric = _metric_from_json(rule.get("metric", {}), grid)
-        z0 = rule.get("z0")
-        if isinstance(metric, EuclideanMetric):
-            z0 = np.asarray(z0, dtype=float)
-        else:
-            z0 = FunctionSample(metric.grid, np.asarray(z0, dtype=float))
+        z0 = _array(rule, "z0", 1)
+        if not isinstance(metric, EuclideanMetric):
+            z0 = FunctionSample(metric.grid, z0)
         return K.make_distance_kernel(metric, z0)
     if kind == "mixture":
-        comps = [
-            (kernel_from_json(c["kernel"], grid), float(c["weight"]))
-            for c in rule["components"]
-        ]
-        return K.make_mixture(comps)
+        comps = _value(rule, "components")
+        if not isinstance(comps, list):
+            raise ParseError(f"'components' must be a list, got {comps!r}")
+        comps = [_object(c, "mixture component") for c in comps]
+        return K.make_mixture([(kernel_from_json(_value(c, "kernel"), grid), _number(c, "weight"))
+                               for c in comps])
     if kind == "kme_measure":
-        k1 = kernel_from_json(rule["k1"], grid)
-        return K.make_kme_measure(phi, k1)
+        return K.make_kme_measure(phi, kernel_from_json(_value(rule, "k1"), grid))
     if kind == "fourier_measure":
         if rule.get("freqs") == "gaussian":
-            fr, fw = K.gaussian_frequencies(
-                int(rule.get("n", 64)), int(rule.get("dim", 1)), int(rule.get("seed", 0))
-            )
-            return K.make_fourier_measure(phi, fr, fw)
-        return K.make_fourier_measure(
-            phi, np.asarray(rule["freqs"], dtype=float), np.asarray(rule["freq_weights"], dtype=float)
-        )
+            n, dim, seed = (_number(rule, key, default, integer=True)
+                            for key, default in (("n", 64), ("dim", 1), ("seed", 0)))
+            return K.make_fourier_measure(phi, *K.gaussian_frequencies(n, dim, seed))
+        return K.make_fourier_measure(phi, _array(rule, "freqs", 2),
+                                      _array(rule, "freq_weights", 1))
     if kind == "quantile_monge":
         g = grid if grid is not None else _grid_from_json(rule.get("u_grid", {"m": 64}))
         return K.make_quantile_monge(phi, g)
@@ -251,14 +294,14 @@ def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
 
 
 def _map_from_json(rule: dict) -> K.MapSpec:
-    t = rule.get("map", {"kind": "identity"})
+    t = _object(rule.get("map", {"kind": "identity"}), "map")
     kind = t.get("kind")
     if kind == "identity":
         return K.Identity()
     if kind == "diagonal_scale":
-        return K.DiagonalScale(tuple(t["factors"]))
+        return K.DiagonalScale(tuple(_array(t, "factors", 1)))
     if kind == "linear_grid_map":
-        return K.LinearGridMap(np.asarray(t["matrix"], dtype=float))
+        return K.LinearGridMap(_array(t, "matrix", 2))
     raise ParseError(f"unknown map kind {kind!r}")
 
 

@@ -116,6 +116,8 @@ class DiagonalScale:
 
     def __post_init__(self):
         factors = tuple(float(f) for f in self.factors)
+        if not all(np.isfinite(factors)):
+            raise DomainError("scale factors must be finite")
         if any(f == 0.0 for f in factors):
             raise InjectivityError("diagonal scaling with a zero factor is not injective")
         object.__setattr__(self, "factors", factors)
@@ -136,6 +138,8 @@ class LinearGridMap:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2:
             raise ShapeError("matrix must be 2-D")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("matrix entries must be finite")
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] <= 1e-10 * s[0]:
             raise InjectivityError(
@@ -160,6 +164,12 @@ MapSpec = Union[Identity, DiagonalScale, LinearGridMap]
 #: ``embed(xs, ys) -> (ex, ey, col_weights)``: the embedded rows of two point
 #: lists, and the weights of the squared column differences (None: all ones)
 Embedding = Callable[[Sequence, Sequence], Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+
+
+def _rows_pair(rows: Callable[[Sequence], np.ndarray], xs, ys):
+    """(rows(xs), rows(ys)), with rows evaluated once when ys is xs, as in every Gram."""
+    ex = rows(xs)
+    return ex, ex if ys is xs else rows(ys)
 
 
 def _sq_dists(ex: np.ndarray, ey: np.ndarray, col_weights: Optional[np.ndarray]) -> np.ndarray:
@@ -205,8 +215,8 @@ class _MetricPhi(KernelSpec):
         return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        return self.phi(metric_dists(self.metric, stack_points(self.space, xs),
-                                     stack_points(self.space, ys)))
+        return self.phi(metric_dists(self.metric,
+                                     *_rows_pair(partial(stack_points, self.space), xs, ys)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +231,8 @@ class _DistanceKernel(KernelSpec):
         return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        xs, ys, z0 = (stack_points(self.space, pts) for pts in (xs, ys, [self.z0]))
+        xs, ys = _rows_pair(partial(stack_points, self.space), xs, ys)
+        z0 = stack_points(self.space, [self.z0])
         return (
             metric_dists(self.metric, xs, z0)
             + metric_dists(self.metric, z0, ys)
@@ -245,7 +256,7 @@ class _Mixture(KernelSpec):
         return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        xs, ys = list(xs), list(ys)
+        xs, ys = _rows_pair(list, xs, ys)
         return sum(w * k.pairwise(xs, ys) for k, w in self.components)
 
 
@@ -327,7 +338,7 @@ def _map_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelSpec:
 
 def _map_embedding(tee: MapSpec, space: PointSpace, xs, ys):
     w = space.grid.weights if isinstance(space, FuncLp) else None
-    return tee.apply(stack_points(space, xs)), tee.apply(stack_points(space, ys)), w
+    return (*_rows_pair(lambda pts: tee.apply(stack_points(space, pts)), xs, ys), w)
 
 
 def make_lp_operator(
@@ -354,7 +365,7 @@ def make_lp_operator(
 
 
 def _operator_embedding(space: FuncLp, root: np.ndarray, xs, ys):
-    return stack_points(space, xs) @ root, stack_points(space, ys) @ root, None
+    return (*_rows_pair(lambda pts: stack_points(space, pts) @ root, xs, ys), None)
 
 
 def check_lp_nondegeneracy(k1: KernelSpec, grid: QuadratureGrid) -> bool:
@@ -399,8 +410,8 @@ def make_mixture(components: Sequence[Tuple[KernelSpec, float]]) -> KernelSpec:
         raise DomainError("a mixture needs at least one component")
     space = components[0][0].space
     for k, w in components:
-        if w <= 0:
-            raise DomainError(f"mixture weights must be positive, got {w}")
+        if not 0 < w < np.inf:
+            raise DomainError(f"mixture weights must be positive and finite, got {w}")
         if k.space != space:
             raise ShapeError("all mixture components must share one point space")
     return _Mixture(components, space)
@@ -419,8 +430,10 @@ def make_kme_measure(phi: PhiProfile, k1: KernelSpec) -> KernelSpec:
 
 def gaussian_frequencies(n: int, dim: int, seed: int) -> tuple:
     """n standard-Gaussian frequency atoms with uniform weights 1/n."""
-    if n < 1:
-        raise DomainError("need at least one frequency atom")
+    if n < 1 or dim < 1:
+        raise DomainError("need at least one frequency atom of positive dimension")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     freqs = rng.standard_normal((n, dim))
     weights = np.full(n, 1.0 / n)
@@ -435,10 +448,13 @@ def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:
     ``freq_weights`` their n weights.
     """
     _require_strict(phi)
-    fr = np.atleast_2d(np.asarray(freqs, dtype=float))
+    # copied, so that freezing it leaves the caller's array writeable
+    fr = np.atleast_2d(np.array(freqs, dtype=float))
     fw = np.asarray(freq_weights, dtype=float)
-    if fr.shape[0] != fw.shape[0]:
-        raise ShapeError("frequency atoms and weights disagree in length")
+    if fr.ndim != 2 or fw.ndim != 1 or fr.shape[0] != fw.shape[0]:
+        raise ShapeError("frequency atoms must be the rows of a 2-D array, one weight each")
+    if not (np.all(np.isfinite(fr)) and np.all(np.isfinite(fw))):
+        raise DomainError("frequency atoms and weights must be finite")
     if np.any(fw <= 0):
         raise DomainError("frequency weights must be positive")
     if abs(float(np.sum(fw)) - 1.0) > 1e-12:
@@ -455,7 +471,7 @@ def _fourier_embedding(space: MeasurePoints, freqs: np.ndarray, scale: np.ndarra
         cf = cf.reshape(-1, len(scale)) * scale
         return np.concatenate([cf.real, cf.imag], axis=1)
 
-    return rows(xs), rows(ys), None
+    return (*_rows_pair(rows, xs, ys), None)
 
 
 def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
@@ -472,10 +488,13 @@ def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
 
 
 def _base_gram(k: KernelSpec, points) -> np.ndarray:
-    """Exactly symmetric Gram matrix of a kernel on a list of points: the
-    upper triangle of the ``pairwise`` block, mirrored."""
-    pts = list(points)
+    """Exactly symmetric Gram matrix of a kernel on a list (or stacked array) of
+    points: the upper triangle of the ``pairwise`` block, mirrored.  Raises DomainError
+    when an entry is not finite, so that no statistic built on it is NaN."""
+    pts = points if isinstance(points, np.ndarray) else list(points)
     g = np.triu(k.pairwise(pts, pts))
+    if not np.all(np.isfinite(g)):
+        raise DomainError("kernel values overflow or are undefined on these points")
     return g + np.triu(g, 1).T
 
 
@@ -501,8 +520,8 @@ def _quantile_embedding(xs, ys):
     Each quantile function is constant on each cell, so the weighted squared
     distance of two rows is the exact squared L^2 distance of the two functions.
     """
-    bx = [_quantile_breaks(as_point(_LINE_MEASURES, m)) for m in xs]
-    by = bx if ys is xs else [_quantile_breaks(as_point(_LINE_MEASURES, m)) for m in ys]
+    bx, by = _rows_pair(lambda ms: [_quantile_breaks(as_point(_LINE_MEASURES, m)) for m in ms],
+                        xs, ys)
     # 1.0 is every quantile function's top breakpoint
     hi = np.unique(np.concatenate([[1.0], *(cum for _, cum in bx), *(cum for _, cum in by)]))
     hi = hi[(hi > 0.0) & (hi <= 1.0)]
@@ -512,8 +531,7 @@ def _quantile_embedding(xs, ys):
     def rows(breaks):
         return np.array([x[np.searchsorted(cum, mid)] for x, cum in breaks]).reshape(-1, len(mid))
 
-    ex = rows(bx)
-    return ex, ex if ys is xs else rows(by), hi - lo
+    return (*_rows_pair(rows, bx, by), hi - lo)
 
 
 def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -15,7 +15,7 @@ evaluable families are shipped:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -46,10 +46,9 @@ class DiscreteLaplace:
         if not atoms:
             raise DomainError("DiscreteLaplace needs at least one atom")
         for rate, weight in atoms:
-            if rate < 0:
-                raise DomainError(f"atom rate must be nonnegative, got {rate}")
-            if weight <= 0:
-                raise DomainError(f"atom weight must positive, got {weight}")
+            if not 0 <= rate < np.inf:
+                raise DomainError(f"atom rate must be nonnegative and finite, got {rate}")
+            _check_positive("atom weight", weight)
         object.__setattr__(self, "atoms", atoms)
 
     def __call__(self, t):
@@ -68,8 +67,7 @@ class Gaussian:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        _check_positive("alpha", self.alpha)
 
     strictly_pd = True
 
@@ -85,8 +83,7 @@ class ExpSqrt:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError(f"c must be positive, got {self.c}")
+        _check_positive("c", self.c)
 
     strictly_pd = True
 
@@ -103,10 +100,8 @@ class InverseRational:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.scale <= 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        _check_positive("beta", self.beta)
+        _check_positive("scale", self.scale)
 
     strictly_pd = True
 
@@ -116,6 +111,12 @@ class InverseRational:
 
 
 PhiProfile = Union[DiscreteLaplace, Gaussian, ExpSqrt, InverseRational]
+
+
+def _check_positive(name: str, value: float):
+    """A profile parameter must be a positive finite number (NaN is neither)."""
+    if not 0 < value < np.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_t(t):
@@ -189,12 +190,27 @@ def profile_from_json(obj: dict) -> PhiProfile:
     if not isinstance(obj, dict) or "family" not in obj:
         raise DomainError(f"profile object needs a 'family' key, got {obj!r}")
     family = obj["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise DomainError(f"unknown profile family {family!r}")
+    cls = _FAMILIES[family]
     kwargs = {k: v for k, v in obj.items() if k != "family"}
+    unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DomainError(f"unknown {family} parameters {unknown}")
     if family == "discrete_laplace":
-        kwargs["atoms"] = tuple(tuple(a) for a in kwargs.get("atoms", ()))
-    return _FAMILIES[family](**kwargs)
+        atoms = kwargs.get("atoms", [])
+        if not (isinstance(atoms, list) and all(
+                isinstance(a, list) and len(a) == 2 and all(map(_is_number, a)) for a in atoms)):
+            raise DomainError(f"discrete_laplace atoms must be [rate, weight] number pairs, "
+                              f"got {atoms!r}")
+        kwargs["atoms"] = tuple(tuple(a) for a in atoms)
+    elif not all(map(_is_number, kwargs.values())):
+        raise DomainError(f"{family} parameters must be numbers, got {kwargs!r}")
+    return cls(**kwargs)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def profile_to_json(profile: PhiProfile) -> dict:

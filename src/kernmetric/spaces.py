@@ -172,10 +172,19 @@ def stack_points(space: PointSpace, points) -> np.ndarray:
 
     Returns an (n, d) array: the coordinates of n points in R^d, or the
     values of n function samples on a d-node grid.  Euclidean points must
-    be finite (function samples are checked when they are built).
+    be finite (function samples are checked when they are built).  Each
+    distinct grid object of the samples is compared with the space's grid once.
     """
     if isinstance(space, FuncLp):
-        values = [as_point(space, x).values for x in points]
+        # grids found equal to space.grid, by id; held here, so that no id is reused
+        on_grid = {id(space.grid): space.grid}
+        values = []
+        for x in points:
+            if not (isinstance(x, FunctionSample)
+                    and (id(x.grid) in on_grid or x.grid == space.grid)):
+                raise ShapeError(f"point {type(x).__name__} does not belong to {space}")
+            on_grid[id(x.grid)] = x.grid
+            values.append(x.values)
         return np.array(values).reshape(-1, len(space.grid))
     if not isinstance(space, Euclidean):
         raise ShapeError(f"points of {space} do not stack into an array")
@@ -264,6 +273,12 @@ class DiscreteMeasure:
         if self._rows is None:
             raise ShapeError("points_array is defined for Euclidean support only")
         return self._rows
+
+    @property
+    def support(self):
+        """The support as kernels take it: ``points_array()`` on a Euclidean base,
+        so that it is not stacked again, else ``points``."""
+        return self.points if self._rows is None else self._rows
 
 
 def measure_key(m: DiscreteMeasure) -> bytes:

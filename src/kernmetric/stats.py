@@ -87,10 +87,10 @@ def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray
     The forecast's self-term sum_ij w_i w_j k(z_i, z_j) is computed once.
     """
     _require_probability(p, "forecast")
-    xs = list(xs)
+    xs = xs if isinstance(xs, np.ndarray) else list(xs)
     # summed atom by atom, so that each outcome's score has the same bits
     # whatever the other outcomes are
-    cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.points, xs)))
+    cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.support, xs)))
     diag = k.diag_value
     if diag is None:
         diag = np.array([k(x, x) for x in xs])
@@ -104,7 +104,7 @@ def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> flo
     """Expected kernel score of forecast q under outcome distribution p."""
     _require_probability(q, "forecast")
     _require_probability(p, "outcome distribution")
-    return float(p.weights @ kernel_scores(k, q, p.points))
+    return float(p.weights @ kernel_scores(k, q, p.support))
 
 
 def divergence(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -283,7 +283,7 @@ def energy_distance(metric: MetricSpec, p: DiscreteMeasure, q: DiscreteMeasure) 
         raise ShapeError("measures do not live on the metric's space")
 
     def form(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-        dists = metric_dists(metric, stack_points(space, a.points), stack_points(space, b.points))
+        dists = metric_dists(metric, stack_points(space, a.support), stack_points(space, b.support))
         return float(a.weights @ (dists @ b.weights))
 
     return 2.0 * form(p, q) - form(p, p) - form(q, q)

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernmetric import Euclidean, Gaussian, gram, make_radial_hilbert, trapezoid_grid
-from kernmetric.cli import main
+from kernmetric import Euclidean, FuncLp, Gaussian, gram, make_radial_hilbert, trapezoid_grid
+from kernmetric.cli import _scenario_samples, main
 from kernmetric.io import (
     ParseError,
     fmt,
@@ -340,6 +345,24 @@ def test_cli_power_csv(tmp_path, kernel_file):
     assert big_rate >= 0.9
 
 
+@pytest.mark.parametrize("space", [Euclidean(3), FuncLp(trapezoid_grid(6))],
+                         ids=["euclidean", "function"])
+@pytest.mark.parametrize("noise", [1.0, 0.3, 0.0])
+def test_scenario_samples_equal_per_sample_draws(space, noise):
+    """One draw per sample set gives the bits of one draw per sample."""
+    for seed in range(5):
+        xs, ys = _scenario_samples(space, 4, 3, noise, 0.5, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        if isinstance(space, Euclidean):
+            want = ([rng.normal(size=3) for _ in range(4)],
+                    [rng.normal(size=3) + 0.5 for _ in range(3)])
+        else:
+            want = ([rng.normal(scale=noise, size=6) for _ in range(4)],
+                    [0.5 + rng.normal(scale=noise, size=6) for _ in range(3)])
+            xs, ys = [f.values for f in xs], [f.values for f in ys]
+        assert [a.tobytes() for a in xs + ys] == [a.tobytes() for a in want[0] + want[1]]
+
+
 def test_cli_power_config_values_are_typed_like_flags(tmp_path, kernel_file):
     scenario = write(tmp_path / "s.json", json.dumps(
         {"kind": "euclidean_mean_shift", "dim": 1, "n": 5, "m": 5, "shifts": [0.0, 2.0]}))
@@ -472,3 +495,126 @@ def test_cli_closed_stdout_exits_without_traceback(tmp_path, kernel_file, unbuff
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# kernel-spec values
+
+
+def test_cli_gram_non_integer_dim_is_usage_error(tmp_path, capsys):
+    spec = {"space": {"kind": "euclidean", "dim": "x"}, "rule": {"kind": "radial_hilbert"}}
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    points = write(tmp_path / "p.csv", "x1\n0\n1\n")
+    code = main(["gram", "--kernel", kernel, "--points", points, "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: 'dim' must be an integer")
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_cli_mmd_scalar_frequency_weights_is_usage_error(tmp_path, capsys):
+    spec = {"rule": {"kind": "fourier_measure", "freqs": [[0.5]], "freq_weights": 1}}
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    x = write(tmp_path / "x.csv", "x1,weight\n0,1\n")
+    y = write(tmp_path / "y.csv", "x1,weight\n1,1\n")
+    assert main(["mmd", "--kernel", kernel, "--x", x, "--y", y]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: 'freq_weights' must be")
+
+
+@pytest.mark.parametrize("command", ["mmd", "test2"])
+def test_cli_overflowing_kernel_values_are_data_error(tmp_path, capsys, command):
+    # |x - z0| overflows when squared, so k(x, y) = inf + inf - inf
+    spec = {"rule": {"kind": "distance", "metric": {"kind": "euclidean", "dim": 1},
+                     "z0": [1e200]}}
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    if command == "mmd":
+        x = write(tmp_path / "x.csv", "x1,weight\n0,0.5\n1,0.5\n")
+        y = write(tmp_path / "y.csv", "x1,weight\n2,1\n")
+    else:
+        x = write(tmp_path / "x.csv", "x1\n0\n1\n2\n")
+        y = write(tmp_path / "y.csv", "x1\n5\n6\n7\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        assert main([command, "--kernel", kernel, "--x", x, "--y", y]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: kernel values overflow")
+
+
+def _gaussian_line_spec():
+    return {"space": {"kind": "euclidean", "dim": 1}, "rule": {"kind": "radial_hilbert"},
+            "phi": {"family": "gaussian", "alpha": 0.5}}
+
+
+#: valid specs in which the kernel reader reads every value
+_SPECS = [
+    _gaussian_line_spec(),
+    {"space": {"kind": "euclidean", "dim": 1},
+     "rule": {"kind": "tee_radial", "map": {"kind": "diagonal_scale", "factors": [2.0]}},
+     "phi": {"family": "inverse_rational", "beta": 1.0, "scale": 2.0}},
+    {"rule": {"kind": "metric_phi", "metric": {"kind": "euclidean", "dim": 1}},
+     "phi": {"family": "discrete_laplace", "atoms": [[0.5, 1.0], [2.0, 0.5]]}},
+    {"rule": {"kind": "distance", "metric": {"kind": "euclidean", "dim": 1}, "z0": [0.25]}},
+    {"rule": {"kind": "mixture", "components": [
+        {"kernel": _gaussian_line_spec(), "weight": 0.5},
+        {"kernel": {"space": {"kind": "euclidean", "dim": 1}, "rule": {"kind": "radial_hilbert"},
+                    "phi": {"family": "exp_sqrt", "c": 1.0}}, "weight": 1.5}]}},
+    {"rule": {"kind": "fourier_measure", "freqs": [[0.5], [1.0]], "freq_weights": [0.25, 0.75]},
+     "phi": {"family": "gaussian", "alpha": 1.0}},
+]
+
+
+def _paths(node, prefix=()):
+    """The paths to every value below the root of a JSON object."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, prefix + (key,))
+
+
+def _json_type(val):
+    if isinstance(val, bool) or val is None:
+        return type(val)
+    return (int, float) if isinstance(val, (int, float)) else type(val)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-5, 50),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 2), max_size=2), st.just({}), st.just({"kind": "identity"}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_mutated_kernel_spec_values_never_escape(tmp_path_factory, data):
+    """Each spec value replaced by an arbitrary JSON value: the CLI exits 0, 2 or 3 and
+    never prints NaN or infinity; a value of another JSON type than the one replaced
+    always exits 2 or 3."""
+    spec = json.loads(json.dumps(data.draw(st.sampled_from(_SPECS))))
+    path = data.draw(st.sampled_from(list(_paths(spec))))
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    new = data.draw(_JSON_VALUES, label=f"value at {path}")
+    parent[path[-1]] = new
+    tmp = tmp_path_factory.mktemp("spec")
+    kernel = write(tmp / "k.json", json.dumps(spec))
+    x = write(tmp / "x.csv", "x1,weight\n0,0.5\n1,0.5\n")
+    y = write(tmp / "y.csv", "x1,weight\n0.5,1\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # run as the command runs, where numpy's overflow warnings are not errors: an
+        # extreme value may overflow on the way to the typed error or finite value checked here
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["mmd", "--kernel", kernel, "--x", x, "--y", y])
+    assert code in (0, 2, 3)
+    assert not any(word in out.getvalue().lower() for word in ("nan", "inf"))
+    if code == 0:
+        assert all(math.isfinite(v) for v in json.loads(out.getvalue()).values())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    if _json_type(new) != _json_type(old):
+        assert code in (2, 3)

@@ -21,6 +21,7 @@ from kernmetric import (
     LinearGridMap,
     LpMetric,
     ProfileClassError,
+    ShapeError,
     check_lp_nondegeneracy,
     dirac,
     gaussian_frequencies,
@@ -244,8 +245,6 @@ def test_mixture_rejects_bad_input():
     with pytest.raises(DomainError):
         make_mixture([(k1, 0.0)])
     k2 = make_radial_hilbert(PHI, E2)
-    from kernmetric import ShapeError
-
     with pytest.raises(ShapeError):
         make_mixture([(k1, 0.5), (k2, 0.5)])
 
@@ -314,6 +313,27 @@ def test_fourier_measure_matches_trig_oracle(rng):
 def test_fourier_measure_weight_normalization():
     with pytest.raises(DomainError):
         make_fourier_measure(PHI, [[1.0], [2.0]], [0.5, 0.6])
+
+
+def test_fourier_measure_leaves_caller_arrays_writeable():
+    freqs, fw = gaussian_frequencies(4, 1, seed=0)
+    k = make_fourier_measure(PHI, freqs, fw)
+    assert freqs.flags.writeable and fw.flags.writeable
+    mu, nu = dirac(E1, one_d(0.0)), dirac(E1, one_d(1.0))
+    before = k(mu, nu)
+    freqs[:] = 0.0  # the kernel keeps its own copy
+    assert k(mu, nu) == before
+
+
+@pytest.mark.parametrize("freqs,weights,error", [
+    ([[1.0]], 1.0, ShapeError),
+    ([[[1.0]]], [1.0], ShapeError),
+    ([[np.nan]], [1.0], DomainError),
+    ([[1.0], [2.0]], [np.nan, 0.5], DomainError),
+])
+def test_fourier_measure_rejects_malformed_frequencies(freqs, weights, error):
+    with pytest.raises(error):
+        make_fourier_measure(PHI, freqs, weights)
 
 
 def test_fourier_frequencies_deterministic():

@@ -21,6 +21,7 @@ from kernmetric import (
     metric_dist,
     trapezoid_grid,
 )
+from kernmetric.spaces import as_point, stack_points
 
 from conftest import random_function
 
@@ -50,6 +51,27 @@ def test_grid_validation():
 def test_grid_rejects_non_finite(nodes, weights):
     with pytest.raises(DomainError, match="finite"):
         QuadratureGrid(np.array(nodes), np.array(weights))
+
+
+def test_stack_points_checks_every_function_sample():
+    g, h = trapezoid_grid(8), trapezoid_grid(9)
+    space = FuncLp(g)
+    f_g = FunctionSample(g, np.arange(8.0))
+    f_h = FunctionSample(h, np.arange(9.0))
+    for bad in (f_h, np.arange(8.0)):
+        with pytest.raises(ShapeError) as stacked:
+            stack_points(space, [f_g, f_g, bad])
+        with pytest.raises(ShapeError) as single:
+            as_point(space, bad)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_stack_points_accepts_an_equal_grid_object():
+    g, same = trapezoid_grid(8), trapezoid_grid(8)
+    assert same is not g
+    samples = [FunctionSample(g, np.arange(8.0)), FunctionSample(same, -np.arange(8.0))]
+    np.testing.assert_array_equal(stack_points(FuncLp(g), samples),
+                                  [np.arange(8.0), -np.arange(8.0)])
 
 
 def test_sq_dist_examples():
