@@ -10,6 +10,7 @@ from .errors import (
     ProfileClassError,
     ShapeError,
 )
+from .io import profile_from_json, profile_to_json
 from .kernels import (
     DiagonalScale,
     Identity,
@@ -36,8 +37,6 @@ from .profiles import (
     PhiProfile,
     complete_monotonicity_check,
     is_strictly_pd_class,
-    profile_from_json,
-    profile_to_json,
 )
 from .spaces import (
     DiscreteMeasure,

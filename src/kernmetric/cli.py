@@ -50,71 +50,75 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, grid: bool, seed: bool):
+        """The flags of the commands that read a kernel; --grid only where the data may
+        be functions, --seed only where permutations are drawn."""
         p.add_argument("--config", help="JSON file providing any of the flags")
         p.add_argument("--kernel", help="kernel spec JSON file")
-        p.add_argument("--grid", help="quadrature grid CSV (for function-valued data)")
+        if grid:
+            p.add_argument("--grid", help="quadrature grid CSV (for function-valued data)")
         p.add_argument("--out", help="output path")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gram", help="write the Gram matrix of a kernel on points")
-    common(p)
+    common(p, grid=True, seed=False)
     p.add_argument("--points", help="points CSV (Euclidean) or function data CSV")
 
     p = sub.add_parser("mmd", help="MMD between two discrete measures")
-    common(p)
+    common(p, grid=False, seed=False)
     p.add_argument("--x", help="first measure CSV")
     p.add_argument("--y", help="second measure CSV")
 
     p = sub.add_parser("test2", help="two-sample permutation test")
-    common(p)
+    common(p, grid=True, seed=True)
     p.add_argument("--x", help="first sample CSV")
     p.add_argument("--y", help="second sample CSV")
     p.add_argument("--perms", type=int, default=999)
     p.add_argument("--alpha", type=float, default=0.05)
 
     p = sub.add_parser("score", help="kernel scores of a forecast at observations")
-    common(p)
+    common(p, grid=False, seed=False)
     p.add_argument("--forecast", help="forecast measure CSV")
     p.add_argument("--obs", help="observations CSV")
 
     p = sub.add_parser("power", help="empirical power curve over a shift scenario")
-    common(p)
+    common(p, grid=True, seed=True)
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--perms", type=int, default=99)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=200)
 
-    p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
-    common(p)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("selfcheck", help="run the built-in invariant suite")
 
     return parser
 
 
 def _config_value(action: argparse.Action, val):
-    """A --config value as the command line would give it: a flag takes a JSON
-    boolean, an option with a type takes what that type accepts from the value's
-    text, and any other option takes a string."""
-    if action.nargs == 0:
-        if not isinstance(val, bool):
-            raise ValueError(f"expected true or false, got {val!r}")
-        return val
+    """A --config value as the command line would give it: an option with a type
+    takes what that type accepts from the value's text, and any other option takes
+    a string."""
     if action.type is None:
         if not isinstance(val, str):
             raise ValueError(f"expected a string, got {val!r}")
+        if "\0" in val:  # every such option is a path, and no path holds one
+            raise ValueError("a path cannot contain a NUL character")
         return val
     return action.type(str(val))
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _apply_config(args: argparse.Namespace):
     if not getattr(args, "config", None):
         return
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{args.config}: {exc}") from exc
+    cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise ParseError(f"{args.config}: expected a JSON object")
     commands = next(a.choices for a in _build_parser()._actions if a.dest == "command")
@@ -132,20 +136,15 @@ def _apply_config(args: argparse.Namespace):
 
 
 def _load_kernel(args, space_hint=None, grid=None):
-    if getattr(args, "kernel", None):
-        try:
-            with open(args.kernel) as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"{args.kernel}: {exc}") from exc
-        return kio.kernel_from_json(spec, grid=grid)
+    if args.kernel:
+        return kio.kernel_from_json(_read_json(args.kernel), grid=grid)
     if space_hint is None:
         raise ParseError("--kernel is required for this input")
     return kio.default_kernel(space_hint)
 
 
 def _load_grid(args):
-    if getattr(args, "grid", None):
+    if args.grid:
         return kio.read_grid_csv(args.grid)
     return None
 
@@ -169,10 +168,9 @@ def cmd_gram(args) -> int:
 
 def cmd_mmd(args) -> int:
     _require(args, "x", "y")
-    grid = _load_grid(args)
     p = kio.read_measure_csv(args.x)
     q = kio.read_measure_csv(args.y)
-    k = _load_kernel(args, space_hint=p.space, grid=grid)
+    k = _load_kernel(args, space_hint=p.space)
     value = mmd(k, p, q)
     out = json.dumps({"mmd": value, "squared_mmd": value * value})
     if args.out:
@@ -212,14 +210,13 @@ def cmd_test2(args) -> int:
 
 def cmd_score(args) -> int:
     _require(args, "forecast", "obs", "out")
-    grid = _load_grid(args)
     forecast = kio.read_measure_csv(args.forecast)
     if not forecast.is_probability:
         raise ShapeError(f"{args.forecast}: forecast is not a probability measure")
     obs = kio.read_points_csv(args.obs)
     if obs.shape[1] != forecast.space.dim:
         raise ShapeError("observation dimension does not match the forecast")
-    k = _load_kernel(args, space_hint=forecast.space, grid=grid)
+    k = _load_kernel(args, space_hint=forecast.space)
     scores = kernel_scores(k, forecast, obs)
     lines = ["score"]
     lines += [kio.fmt(s) for s in scores]
@@ -241,11 +238,7 @@ def _scenario_value(scenario: dict, key: str, default, integer: bool):
 
 def _read_scenario(path: str):
     """(space, shifts, n, m, noise) from a scenario file, each value checked."""
-    try:
-        with open(path) as fh:
-            scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    scenario = _read_json(path)
     if not isinstance(scenario, dict):
         raise ParseError(f"{path}: expected a JSON object")
     kind = scenario.get("kind")
@@ -308,7 +301,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    ok = run_selfcheck(inject_fault=args.inject_fault)
+    ok = run_selfcheck()
     return EXIT_OK if ok else EXIT_SELFCHECK
 
 
@@ -343,7 +336,7 @@ def main(argv=None) -> int:
     except KernmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input or output path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,13 +7,14 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from typing import List, Sequence
+from dataclasses import fields
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import kernels as K
 from .errors import DomainError, ShapeError
-from .profiles import Gaussian, _is_number, profile_from_json
+from .profiles import DiscreteLaplace, ExpSqrt, Gaussian, InverseRational, PhiProfile
 from .spaces import (
     DiscreteMeasure,
     Euclidean,
@@ -38,6 +39,8 @@ __all__ = [
     "write_gram_csv",
     "read_gram_csv",
     "kernel_from_json",
+    "profile_from_json",
+    "profile_to_json",
     "default_kernel",
 ]
 
@@ -70,7 +73,7 @@ def _rows(path: str) -> List[List[str]]:
     try:
         with open(path, newline="") as fh:
             return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -81,13 +84,48 @@ def _floats(path: str, lineno: int, row: Sequence[str]) -> List[float]:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
+def _table(path: str, header: Optional[Callable[[List[str]], None]] = None):
+    """(header cells, data rows as a float array) of a CSV file.
+
+    ``header``, when given, checks the stripped cells of the first row (an empty
+    list for an empty file) before any data row is read.  Every data row must
+    have as many cells as the header, or, without one, as the first row; lines
+    are numbered without the blank ones.
+    """
+    rows = _rows(path)
+    cells = []
+    if header is not None:
+        cells = [c.strip() for c in rows[0]] if rows else []
+        header(cells)
+        rows = rows[1:]
+    width = len(cells) if header is not None else len(rows[0]) if rows else 0
+    data = []
+    for lineno, row in enumerate(rows, 2 if header is not None else 1):
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: row has {len(row)} columns, expected {width}")
+        data.append(_floats(path, lineno, row))
+    return cells, np.asarray(data, dtype=float)
+
+
+def _coordinate_header(path: str, extra: List[str]):
+    """Check of the header 'x1,...,xd' followed by the columns ``extra``, d >= 1."""
+    def check(cells):
+        if not cells:
+            raise ParseError(f"{path}: empty file")
+        d = len(cells) - len(extra)
+        if d < 1 or cells != [f"x{i + 1}" for i in range(d)] + extra:
+            raise ParseError(f"{path}:1: expected header {','.join(['x1', '...', 'xd'] + extra)}")
+
+    return check
+
+
 def read_grid_csv(path: str) -> QuadratureGrid:
     """Grid CSV: header 'node,weight', one row per node."""
-    rows = _rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["node", "weight"]:
-        raise ParseError(f"{path}:1: expected header 'node,weight'")
-    data = [_floats(path, i + 2, r) for i, r in enumerate(rows[1:])]
-    arr = np.asarray(data, dtype=float)
+    def check(cells):
+        if cells != ["node", "weight"]:
+            raise ParseError(f"{path}:1: expected header 'node,weight'")
+
+    _, arr = _table(path, check)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParseError(f"{path}: each row needs exactly two columns")
     nodes, weights = arr[:, 0], arr[:, 1]
@@ -102,28 +140,15 @@ def write_grid_csv(path: str, grid: QuadratureGrid):
 
 def read_function_csv(path: str, grid: QuadratureGrid) -> List[FunctionSample]:
     """Function data CSV: one row per sample, m value columns, no header."""
-    rows = _rows(path)
-    samples = []
-    for i, row in enumerate(rows):
-        vals = _floats(path, i + 1, row)
-        if len(vals) != len(grid):
-            raise ShapeError(
-                f"{path}:{i + 1}: row has {len(vals)} columns, grid has {len(grid)} nodes"
-            )
-        samples.append(FunctionSample(grid, np.asarray(vals)))
-    return samples
+    _, arr = _table(path)
+    if arr.ndim == 2 and arr.shape[1] != len(grid):
+        raise ShapeError(f"{path}:1: row has {arr.shape[1]} columns, grid has {len(grid)} nodes")
+    return [FunctionSample(grid, row) for row in arr]
 
 
 def read_points_csv(path: str) -> np.ndarray:
     """Euclidean points CSV: header 'x1,...,xd', one row per point."""
-    rows = _rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != [f"x{i + 1}" for i in range(len(header))]:
-        raise ParseError(f"{path}:1: expected header x1,...,xd")
-    data = [_floats(path, i + 2, r) for i, r in enumerate(rows[1:])]
-    arr = np.asarray(data, dtype=float)
+    header, arr = _table(path, _coordinate_header(path, []))
     if arr.ndim != 2 or arr.shape[1] != len(header):
         raise ParseError(f"{path}: inconsistent column count")
     return arr
@@ -131,15 +156,8 @@ def read_points_csv(path: str) -> np.ndarray:
 
 def read_measure_csv(path: str) -> DiscreteMeasure:
     """Measure CSV: header 'x1,...,xd,weight', one row per atom."""
-    rows = _rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header, arr = _table(path, _coordinate_header(path, ["weight"]))
     d = len(header) - 1
-    if d < 1 or header != [f"x{i + 1}" for i in range(d)] + ["weight"]:
-        raise ParseError(f"{path}:1: expected header x1,...,xd,weight")
-    data = [_floats(path, i + 2, r) for i, r in enumerate(rows[1:])]
-    arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != d + 1:
         raise ParseError(f"{path}: inconsistent column count")
     return DiscreteMeasure(Euclidean(d), arr[:, :d], arr[:, d])
@@ -152,8 +170,7 @@ def write_gram_csv(path: str, entries: np.ndarray):
 
 
 def read_gram_csv(path: str) -> np.ndarray:
-    rows = _rows(path)
-    return np.asarray([_floats(path, i + 1, r) for i, r in enumerate(rows)], dtype=float)
+    return _table(path)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +194,10 @@ def _value(obj: dict, key: str, default=_REQUIRED):
     return default
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _number(obj: dict, key: str, default=_REQUIRED, integer: bool = False):
     """obj[key] (default when absent): a JSON integer as an int, or, when integer
     is False, any JSON number as a float."""
@@ -184,7 +205,12 @@ def _number(obj: dict, key: str, default=_REQUIRED, integer: bool = False):
     if not (_is_number(val) and (isinstance(val, int) or not integer)):
         kind = "an integer" if integer else "a number"
         raise ParseError(f"{key!r} must be {kind}, got {val!r}")
-    return val if integer else float(val)
+    if integer:
+        return val
+    try:
+        return float(val)
+    except OverflowError as exc:  # a JSON integer beyond the double range
+        raise ParseError(f"{key!r} is out of range, got {val!r}") from exc
 
 
 def _array(obj: dict, key: str, ndim: int) -> np.ndarray:
@@ -202,6 +228,44 @@ def _array(obj: dict, key: str, ndim: int) -> np.ndarray:
         except ValueError:  # rows of unequal length
             pass
     raise ParseError(f"{key!r} must be a nonempty {ndim}-D array of numbers, got {val!r}")
+
+
+_PROFILES = {
+    "gaussian": Gaussian,
+    "discrete_laplace": DiscreteLaplace,
+    "exp_sqrt": ExpSqrt,
+    "inverse_rational": InverseRational,
+}
+
+
+def profile_from_json(obj) -> PhiProfile:
+    """Build a profile from its JSON object form, e.g. {"family": "gaussian", "alpha": 0.5}."""
+    obj = _object(obj, "profile")
+    family = _value(obj, "family")
+    if not isinstance(family, str) or family not in _PROFILES:
+        raise ParseError(f"unknown profile family {family!r}")
+    cls = _PROFILES[family]
+    params = [k for k in obj if k != "family"]
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ParseError(f"unknown {family} parameters {unknown}")
+    if cls is DiscreteLaplace:
+        atoms = _array(obj, "atoms", 2)
+        if atoms.shape[1] != 2:
+            raise ParseError(f"'atoms' must be [rate, weight] pairs, got {obj['atoms']!r}")
+        return DiscreteLaplace(tuple(map(tuple, atoms)))
+    return cls(**{k: _number(obj, k) for k in params})
+
+
+def profile_to_json(profile: PhiProfile) -> dict:
+    """The JSON object form of a profile, as ``profile_from_json`` reads it."""
+    family = {cls: name for name, cls in _PROFILES.items()}.get(type(profile))
+    if family is None:
+        raise DomainError(f"not a known profile: {profile!r}")
+    params = {f.name: getattr(profile, f.name) for f in fields(profile)}
+    if isinstance(profile, DiscreteLaplace):
+        params["atoms"] = [list(a) for a in profile.atoms]
+    return {"family": family, **params}
 
 
 def _space_from_json(obj, grid: QuadratureGrid = None):

@@ -7,16 +7,23 @@ space; evaluation is pure and symmetric by construction.  ``k.pairwise(xs,
 ys)`` evaluates the whole cross block of two point lists with array
 operations, and a scalar ``k(x, y)`` is its 1 x 1 block.
 
-Five rules are radial kernels of a row embedding E into a Hilbert space,
-k(x, y) = phi(||E(x) - E(y)||^2), and one class evaluates them all.  E is
-the identity (``make_radial_hilbert``), the map T (``make_tee_radial``),
-f -> f R with R R' the double quadrature form of the base kernel
-(``make_lp_operator``), the (Re, Im) characteristic function at the
-frequency atoms, scaled by the root frequency weights
-(``make_fourier_measure``), or the quantile function at the midpoints of
-the cells between all breakpoints of a block (``make_quantile_monge``).  On
-L^2 the grid weights, and for quantiles the cell widths, weight the squared
-column differences.
+Seven rules are a completely monotone profile of a negative-type argument,
+k(x, y) = phi(arg(x, y)), and one class evaluates them all from the
+argument block ``arg(xs, ys)``:
+
+- ||E(x) - E(y)||^2 for a row embedding E into a Hilbert space.  E is the
+  identity (``make_radial_hilbert``), the map T (``make_tee_radial``),
+  f -> f R with R R' the double quadrature form of the base kernel
+  (``make_lp_operator``), the (Re, Im) characteristic function at the
+  frequency atoms, scaled by the root frequency weights
+  (``make_fourier_measure``), or the quantile function at the midpoints of
+  the cells between all breakpoints of a block (``make_quantile_monge``).
+  On L^2 the grid weights, and for quantiles the cell widths, weight the
+  squared column differences.
+- rho(x, y), unsquared, for a metric of strong negative type
+  (``make_metric_phi``).
+- ||Phi(mu) - Phi(nu)||^2 for the mean embedding Phi of a base kernel
+  (``make_kme_measure``).
 """
 
 from __future__ import annotations
@@ -180,13 +187,51 @@ def _sq_dists(ex: np.ndarray, ey: np.ndarray, col_weights: Optional[np.ndarray])
                         ex, ey)
 
 
+def _embedded_sq_dists(embed: Embedding, xs, ys) -> np.ndarray:
+    return _sq_dists(*embed(xs, ys))
+
+
+def _metric_dists(metric: MetricSpec, space: PointSpace, xs, ys) -> np.ndarray:
+    return metric_dists(metric, *_rows_pair(partial(stack_points, space), xs, ys))
+
+
+def _kme_sq_dists(k1: KernelSpec, space: MeasurePoints, xs, ys) -> np.ndarray:
+    """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
+    one mu at a time so that no temporary spans the atoms of two measures of xs;
+    exactly 0 where both sides are the same measure (equal ``measure_key``), and
+    clamped at 0 against roundoff."""
+    xs, ys = [as_point(space, m) for m in xs], [as_point(space, m) for m in ys]
+    if not xs or not ys:
+        return np.zeros((len(xs), len(ys)))
+    atoms = [p for nu in ys for p in nu.points]
+    if isinstance(k1.space, Euclidean):
+        # stacked once here rather than by k1.pairwise once per measure of xs
+        atoms = stack_points(k1.space, atoms)
+    wy = np.concatenate([nu.weights for nu in ys])
+    starts = np.cumsum([0] + [len(nu.points) for nu in ys[:-1]])
+    inner = np.array([np.add.reduceat(mu.weights @ k1.pairwise(mu.points, atoms) * wy, starts)
+                      for mu in xs])
+    sx, sy = ([m.weights @ k1.pairwise(m.points, m.points) @ m.weights for m in ms]
+              for ms in (xs, ys))
+    d2 = np.add.outer(sx, sy) - 2.0 * inner
+    ids = {}
+    ix = [ids.setdefault(measure_key(m), len(ids)) for m in xs]
+    iy = [ids.setdefault(measure_key(m), len(ids)) for m in ys]
+    d2[np.equal.outer(ix, iy)] = 0.0
+    return np.maximum(d2, 0.0)
+
+
 @dataclass(frozen=True)
-class _RadialEmbedding(KernelSpec):
-    """k(x, y) = phi(||E(x) - E(y)||^2) for a row embedding E (see the module docstring)."""
+class _ProfileKernel(KernelSpec):
+    """k(x, y) = phi(arg(x, y)) for a negative-type argument (see the module docstring)."""
 
     phi: PhiProfile
     space: PointSpace
-    embed: Embedding
+    #: ``arg(xs, ys)``: the argument block of two point lists
+    arg: Callable[[Sequence, Sequence], np.ndarray]
+
+    def __post_init__(self):
+        _require_strict(self.phi)
 
     @property
     def diag_value(self):
@@ -196,27 +241,18 @@ class _RadialEmbedding(KernelSpec):
         return self._one(x, y)
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        return self.phi(_sq_dists(*self.embed(xs, ys)))
+        return self.phi(self.arg(xs, ys))
 
 
-@dataclass(frozen=True)
-class _MetricPhi(KernelSpec):
-    """k(x, y) = phi(rho(x, y)); the metric enters unsquared."""
+class _KmeMeasure(_ProfileKernel):
+    """k2(mu, nu) = phi(||Phi_{k1}(mu) - Phi_{k1}(nu)||^2)."""
 
-    phi: PhiProfile
-    metric: MetricSpec
-    space: PointSpace
-
-    @property
-    def diag_value(self):
-        return self.phi(0.0)
-
-    def __call__(self, x, y) -> float:
-        return self._one(x, y)
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        return self.phi(metric_dists(self.metric,
-                                     *_rows_pair(partial(stack_points, self.space), xs, ys)))
+    def __call__(self, mu, nu) -> float:
+        mu, nu = as_point(self.space, mu), as_point(self.space, nu)
+        # canonical order, so the value is bitwise symmetric in (mu, nu)
+        if measure_key(nu) < measure_key(mu):
+            mu, nu = nu, mu
+        return self._one(mu, nu)
 
 
 @dataclass(frozen=True)
@@ -260,58 +296,13 @@ class _Mixture(KernelSpec):
         return sum(w * k.pairwise(xs, ys) for k, w in self.components)
 
 
-@dataclass(frozen=True)
-class _KmeMeasure(KernelSpec):
-    """k2(mu, nu) = phi(||Phi_{k1}(mu) - Phi_{k1}(nu)||^2)."""
-
-    phi: PhiProfile
-    k1: KernelSpec
-    space: PointSpace
-
-    @property
-    def diag_value(self):
-        return self.phi(0.0)
-
-    def embedding_sq_dists(self, xs, ys) -> np.ndarray:
-        """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
-        one mu at a time so that no temporary spans the atoms of two measures of
-        xs; exactly 0 where both sides are the same measure (equal ``measure_key``)."""
-        xs, ys = [as_point(self.space, m) for m in xs], [as_point(self.space, m) for m in ys]
-        if not xs or not ys:
-            return np.zeros((len(xs), len(ys)))
-        atoms = [p for nu in ys for p in nu.points]
-        if isinstance(self.k1.space, Euclidean):
-            # stacked once here rather than by k1.pairwise once per measure of xs
-            atoms = stack_points(self.k1.space, atoms)
-        wy = np.concatenate([nu.weights for nu in ys])
-        starts = np.cumsum([0] + [len(nu.points) for nu in ys[:-1]])
-        inner = np.array([np.add.reduceat(mu.weights @ self.k1.pairwise(mu.points, atoms) * wy,
-                                          starts) for mu in xs])
-        sx, sy = ([m.weights @ self.k1.pairwise(m.points, m.points) @ m.weights for m in ms]
-                  for ms in (xs, ys))
-        d2 = np.add.outer(sx, sy) - 2.0 * inner
-        ids = {}
-        ix = [ids.setdefault(measure_key(m), len(ids)) for m in xs]
-        iy = [ids.setdefault(measure_key(m), len(ids)) for m in ys]
-        d2[np.equal.outer(ix, iy)] = 0.0
-        return d2
-
-    def embedding_sq_dist(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        return float(self.embedding_sq_dists([mu], [nu])[0, 0])
-
-    def __call__(self, mu, nu) -> float:
-        mu, nu = as_point(self.space, mu), as_point(self.space, nu)
-        # canonical order, so the value is bitwise symmetric in (mu, nu)
-        if measure_key(nu) < measure_key(mu):
-            mu, nu = nu, mu
-        return self._one(mu, nu)
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        return self.phi(np.maximum(self.embedding_sq_dists(xs, ys), 0.0))
-
-
 # ---------------------------------------------------------------------------
 # constructors (validation lives here)
+
+
+def _radial(phi: PhiProfile, space: PointSpace, embed: Embedding) -> KernelSpec:
+    """phi(||E(x) - E(y)||^2) for the row embedding ``embed``."""
+    return _ProfileKernel(phi, space, partial(_embedded_sq_dists, embed))
 
 
 def make_radial_hilbert(phi: PhiProfile, space: PointSpace) -> KernelSpec:
@@ -326,14 +317,13 @@ def make_tee_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelS
 
 def _map_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelSpec:
     """E = T on the stacked points; on L^2 the grid weights weight the columns."""
-    _require_strict(phi)
     if isinstance(space, FuncLp) and space.p != 2.0:
         raise DomainError(
             f"radial kernels need a Hilbert norm; L^p with p = {space.p} is not one"
         )
     if isinstance(space, MeasurePoints):
         raise ShapeError("radial kernels on measure points are built by make_kme_measure")
-    return _RadialEmbedding(phi, space, partial(_map_embedding, tee, space))
+    return _radial(phi, space, partial(_map_embedding, tee, space))
 
 
 def _map_embedding(tee: MapSpec, space: PointSpace, xs, ys):
@@ -347,7 +337,6 @@ def make_lp_operator(
     """Operator kernel on L^p(lambda) built from a base kernel on the grid line."""
     if not (1.0 < p < np.inf):
         raise DomainError(f"cases p in {{1, inf}} are excluded; got p = {p}")
-    _require_strict(phi)
     if not isinstance(k1.space, Euclidean) or k1.space.dim != 1:
         raise ShapeError("the base kernel must live on the 1-D point space of the grid")
     # the double quadrature form f' M f is ||f R||^2, with R R' = M from eigh
@@ -361,7 +350,7 @@ def make_lp_operator(
     root = vecs * np.sqrt(np.maximum(lam, 0.0))
     root.setflags(write=False)
     space = FuncLp(grid, float(p))
-    return _RadialEmbedding(phi, space, partial(_operator_embedding, space, root))
+    return _radial(phi, space, partial(_operator_embedding, space, root))
 
 
 def _operator_embedding(space: FuncLp, root: np.ndarray, xs, ys):
@@ -391,9 +380,9 @@ def _weighted_form(k1: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
 
 def make_metric_phi(phi: PhiProfile, metric: MetricSpec) -> KernelSpec:
     """k(x, y) = phi(rho(x, y)) over a metric of strong negative type."""
-    _require_strict(phi)
     # LpMetric enforces 1 < p <= 2 at construction; EuclideanMetric is whitelisted
-    return _MetricPhi(phi, metric, metric.space())
+    space = metric.space()
+    return _ProfileKernel(phi, space, partial(_metric_dists, metric, space))
 
 
 def make_distance_kernel(metric: MetricSpec, z0) -> KernelSpec:
@@ -419,13 +408,10 @@ def make_mixture(components: Sequence[Tuple[KernelSpec, float]]) -> KernelSpec:
 
 def make_kme_measure(phi: PhiProfile, k1: KernelSpec) -> KernelSpec:
     """Kernel on discrete measures through the mean embedding of k1."""
-    _require_strict(phi)
     if isinstance(k1.space, MeasurePoints):
         raise ShapeError("the base kernel must live on the base point space")
-    base_phi = getattr(k1, "phi", None)
-    if base_phi is not None:
-        _require_strict(base_phi)
-    return _KmeMeasure(phi, k1, MeasurePoints(k1.space))
+    space = MeasurePoints(k1.space)
+    return _KmeMeasure(phi, space, partial(_kme_sq_dists, k1, space))
 
 
 def gaussian_frequencies(n: int, dim: int, seed: int) -> tuple:
@@ -447,7 +433,6 @@ def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:
     characteristic functions: ``freqs`` holds the n atoms as rows and
     ``freq_weights`` their n weights.
     """
-    _require_strict(phi)
     # copied, so that freezing it leaves the caller's array writeable
     fr = np.atleast_2d(np.array(freqs, dtype=float))
     fw = np.asarray(freq_weights, dtype=float)
@@ -461,7 +446,7 @@ def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:
         raise DomainError(f"frequency weights must sum to 1, got {np.sum(fw)}")
     fr.setflags(write=False)
     space = MeasurePoints(Euclidean(fr.shape[1]))
-    return _RadialEmbedding(phi, space, partial(_fourier_embedding, space, fr, np.sqrt(fw)))
+    return _radial(phi, space, partial(_fourier_embedding, space, fr, np.sqrt(fw)))
 
 
 def _fourier_embedding(space: MeasurePoints, freqs: np.ndarray, scale: np.ndarray, xs, ys):
@@ -476,11 +461,10 @@ def _fourier_embedding(space: MeasurePoints, freqs: np.ndarray, scale: np.ndarra
 
 def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
     """Kernel on 1-D probability measures through the quantile embedding."""
-    _require_strict(phi)
     a, b = u_grid.domain
     if not (a >= 0.0 and b <= 1.0):
         raise DomainError("u_grid must discretize [0, 1]")
-    return _RadialEmbedding(phi, _LINE_MEASURES, _quantile_embedding)
+    return _radial(phi, _LINE_MEASURES, _quantile_embedding)
 
 
 # ---------------------------------------------------------------------------

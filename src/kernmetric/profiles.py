@@ -15,7 +15,7 @@ evaluable families are shipped:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -30,8 +30,6 @@ __all__ = [
     "InverseRational",
     "is_strictly_pd_class",
     "complete_monotonicity_check",
-    "profile_from_json",
-    "profile_to_json",
 ]
 
 
@@ -107,7 +105,15 @@ class InverseRational:
 
     def __call__(self, t):
         t, scalar = _check_t(t)
-        return _result((1.0 + t / self.scale) ** (-self.beta), scalar)
+        # phi = exp(-beta * log(1 + t / scale)); t / scale is formed only where it is
+        # at most 1, and log t - log scale + log1p(scale / t) stands for the log
+        # elsewhere, so that no quotient overflows however small the scale
+        near = t <= self.scale
+        far = t[~near]
+        log_base = np.empty_like(t)
+        log_base[near] = np.log1p(t[near] / self.scale)
+        log_base[~near] = np.log(far) - np.log(self.scale) + np.log1p(self.scale / far)
+        return _result(np.exp(-self.beta * log_base), scalar)
 
 
 PhiProfile = Union[DiscreteLaplace, Gaussian, ExpSqrt, InverseRational]
@@ -175,55 +181,3 @@ def complete_monotonicity_check(
             return False
         diffs = np.diff(diffs)
     return True
-
-
-_FAMILIES = {
-    "gaussian": Gaussian,
-    "discrete_laplace": DiscreteLaplace,
-    "exp_sqrt": ExpSqrt,
-    "inverse_rational": InverseRational,
-}
-
-
-def profile_from_json(obj: dict) -> PhiProfile:
-    """Build a profile from its JSON object form, e.g. {"family": "gaussian", "alpha": 0.5}."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise DomainError(f"profile object needs a 'family' key, got {obj!r}")
-    family = obj["family"]
-    if not isinstance(family, str) or family not in _FAMILIES:
-        raise DomainError(f"unknown profile family {family!r}")
-    cls = _FAMILIES[family]
-    kwargs = {k: v for k, v in obj.items() if k != "family"}
-    unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
-    if unknown:
-        raise DomainError(f"unknown {family} parameters {unknown}")
-    if family == "discrete_laplace":
-        atoms = kwargs.get("atoms", [])
-        if not (isinstance(atoms, list) and all(
-                isinstance(a, list) and len(a) == 2 and all(map(_is_number, a)) for a in atoms)):
-            raise DomainError(f"discrete_laplace atoms must be [rate, weight] number pairs, "
-                              f"got {atoms!r}")
-        kwargs["atoms"] = tuple(tuple(a) for a in atoms)
-    elif not all(map(_is_number, kwargs.values())):
-        raise DomainError(f"{family} parameters must be numbers, got {kwargs!r}")
-    return cls(**kwargs)
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def profile_to_json(profile: PhiProfile) -> dict:
-    if isinstance(profile, Gaussian):
-        return {"family": "gaussian", "alpha": profile.alpha}
-    if isinstance(profile, DiscreteLaplace):
-        return {"family": "discrete_laplace", "atoms": [list(a) for a in profile.atoms]}
-    if isinstance(profile, ExpSqrt):
-        return {"family": "exp_sqrt", "c": profile.c}
-    if isinstance(profile, InverseRational):
-        return {
-            "family": "inverse_rational",
-            "beta": profile.beta,
-            "scale": profile.scale,
-        }
-    raise DomainError(f"not a known profile: {profile!r}")

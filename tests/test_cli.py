@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernmetric import Euclidean, FuncLp, Gaussian, gram, make_radial_hilbert, trapezoid_grid
+from kernmetric import (DomainError, Euclidean, FuncLp, Gaussian, gram, make_radial_hilbert,
+                        selfcheck, trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
 from kernmetric.io import (
     ParseError,
@@ -465,9 +466,54 @@ def test_cli_selfcheck_passes(capsys):
     assert lines == ["PASS " + name for name in SELFCHECK_NAMES]
 
 
-def test_cli_selfcheck_injected_fault(capsys):
-    assert main(["selfcheck", "--inject-fault"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_cli_selfcheck_injected_fault(capsys, monkeypatch):
+    def raises():
+        raise ZeroDivisionError("division by zero")
+
+    checks = [selfcheck.CHECKS[0], ("injected_fault", lambda: False), ("injected_error", raises)]
+    monkeypatch.setattr(selfcheck, "CHECKS", checks)
+    assert main(["selfcheck"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS " + SELFCHECK_NAMES[0], "FAIL injected_fault",
+        "FAIL injected_error (error: division by zero)"]
+
+
+# ---------------------------------------------------------------------------
+# CLI: each subcommand takes only the flags it reads
+
+
+@pytest.fixture
+def command_inputs(tmp_path):
+    """Arguments of a successful gram, mmd and score run."""
+    points = write(tmp_path / "p.csv", "x1\n0\n1\n")
+    measure = write(tmp_path / "m.csv", "x1,weight\n0,0.5\n1,0.5\n")
+    return {
+        "gram": ["--points", points, "--out", str(tmp_path / "g.csv")],
+        "mmd": ["--x", measure, "--y", measure],
+        "score": ["--forecast", measure, "--obs", points, "--out", str(tmp_path / "s.csv")],
+    }
+
+
+@pytest.mark.parametrize("command,flag", [("gram", "seed"), ("mmd", "seed"), ("score", "seed"),
+                                          ("mmd", "grid"), ("score", "grid")])
+def test_cli_unread_flag_is_usage_error(tmp_path, capsys, command_inputs, command, flag):
+    grid = write(tmp_path / "grid.csv", "node,weight\n0,0.5\n1,0.5\n")
+    value = {"seed": "1", "grid": grid}[flag]
+    assert main([command, *command_inputs[command]]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, *command_inputs[command], f"--{flag}", value])
+    assert exc.value.code == 2
+    config = write(tmp_path / "cfg.json", json.dumps({flag: value}))
+    assert main([command, *command_inputs[command], "--config", config]) == 2
+    assert capsys.readouterr().err.endswith(f"unknown option {flag!r}\n")
+
+
+@pytest.mark.parametrize("flag", ["--config", "--kernel", "--grid", "--out", "--seed",
+                                  "--inject-fault"])
+def test_cli_selfcheck_takes_no_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", flag] + ([] if flag == "--inject-fault" else ["1"]))
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -618,3 +664,144 @@ def test_cli_mutated_kernel_spec_values_never_escape(tmp_path_factory, data):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     if _json_type(new) != _json_type(old):
         assert code in (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# malformed CSV files and --config values
+
+
+@pytest.mark.parametrize("route,text,line", [
+    ("test2", "x1,x2\n0,0\n1\n", 3),
+    ("mmd", "x1,weight\n0,0.5\n1\n", 3),
+    ("grid", "node,weight\n0,0.5\n1\n", 3),
+    ("functions", "0,1\n1\n", 2),
+])
+def test_cli_short_csv_row_is_usage_error(tmp_path, capsys, route, text, line):
+    bad = write(tmp_path / "bad.csv", text)
+    assert main(_csv_route(tmp_path, route, bad)) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{line}: row has 1 columns, expected 2\n"
+
+
+def test_cli_binary_input_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x1\n\xd0\xff\n")
+    assert main(_csv_route(tmp_path, "test2", str(bad))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "can't decode" in err
+
+
+@pytest.mark.parametrize("alpha,message", [("x", "must be a number"), (10**400, "is out of range")],
+                         ids=["string", "huge_integer"])
+def test_cli_mistyped_profile_value_is_usage_error(tmp_path, capsys, alpha, message):
+    spec = {**_gaussian_line_spec(), "phi": {"family": "gaussian", "alpha": alpha}}
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    x = write(tmp_path / "x.csv", "x1,weight\n0,1\n")
+    assert main(["mmd", "--kernel", kernel, "--x", x, "--y", x]) == 2
+    assert capsys.readouterr().err == f"error: 'alpha' {message}, got {alpha!r}\n"
+
+
+def test_cli_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    points = write(tmp_path / "p.csv", "x1\n0\n1\n")
+    assert main(["gram", "--points", points, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "p.csv"]
+
+
+def _csv_route(tmp, route, path):
+    """A command that reads ``path`` with the reader of ``route``, all else valid."""
+    points = write(tmp / "points.csv", "x1\n0\n0.5\n1\n")
+    measure = write(tmp / "measure.csv", "x1,weight\n0,0.5\n1,0.5\n")
+    grid = write(tmp / "grid.csv", "node,weight\n0,0.5\n1,0.5\n")
+    functions = write(tmp / "functions.csv", "0,1\n1,0\n0.5,0.5\n")
+    out = str(tmp / "out.csv")
+    return {
+        "test2": ["test2", "--x", path, "--y", points, "--perms", "9"],
+        "score": ["score", "--forecast", measure, "--obs", path, "--out", out],
+        "mmd": ["mmd", "--x", path, "--y", measure],
+        "forecast": ["score", "--forecast", path, "--obs", points, "--out", out],
+        "grid": ["gram", "--grid", path, "--points", functions, "--out", out],
+        "functions": ["gram", "--grid", grid, "--points", path, "--out", out],
+    }[route]
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process run; an exception escaping main
+    fails the calling test, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # as the command runs: numpy's overflow warnings are not errors there
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, err):
+    assert code in (0, 2, 3)
+    assert not any(word in out.lower() for word in ("nan", "inf"))
+    if code != 0:
+        assert out == "" and err.startswith("error: ")
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                     st.integers(-3, 3).map(str))
+# mostly numbers, so that many files pass the header and number checks and reach the others
+_CELLS = st.one_of(
+    _NUMBERS, _NUMBERS,
+    st.sampled_from(["", " ", "x1", "x2", "weight", "node", "1e999", "-0", "1_0", '"1"', "0x1"]),
+    st.text(st.characters(codec="utf-8"), max_size=3),
+)
+_HEADERS = st.sampled_from(["x1", "x1,x2", "x1,weight", "x1,x2,weight", "node,weight", ""])
+_ROWS = st.lists(_CELLS, max_size=4).map(",".join)
+#: the header each route's reader expects
+_ROUTE_HEADERS = {"test2": "x1", "score": "x1", "mmd": "x1,weight", "forecast": "x1,weight",
+                  "grid": "node,weight", "functions": ""}
+
+
+@pytest.mark.parametrize("route", ["test2", "score", "mmd", "forecast", "grid", "functions"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_arbitrary_csv_never_escapes(tmp_path_factory, route, data):
+    """Arbitrary CSV text given to each reader through the CLI exits 0, 2 or 3, with no
+    exception escaping and no NaN or infinity printed."""
+    rows = data.draw(st.lists(_ROWS, max_size=5))
+    header = data.draw(st.one_of(st.just(_ROUTE_HEADERS[route]), _HEADERS, _ROWS))
+    text = "\n".join([header, *rows] if route != "functions" else rows)
+    tmp = tmp_path_factory.mktemp("csv")
+    path = tmp / "data.csv"
+    path.write_text(text + data.draw(st.sampled_from(["", "\n", "\r\n"])), encoding="utf-8")
+    _assert_clean_exit(*_run_cli(_csv_route(tmp, route, str(path))))
+    try:
+        assert read_gram_csv(str(path)).ndim in (1, 2)
+    except DomainError:
+        pass
+
+
+#: the JSON values a --config entry may take
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.sampled_from([".", "..", "\x00", "a\x00"]),
+    st.integers(-5, 50),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 2), max_size=2), st.just({}),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_arbitrary_config_values_never_escape(tmp_path_factory, data):
+    """A valid test2 --config with one entry replaced or added with an arbitrary JSON
+    value exits 0, 2 or 3, with no exception escaping and no NaN or infinity printed."""
+    tmp = tmp_path_factory.mktemp("config")
+    cfg = {"x": write(tmp / "x.csv", "x1\n0\n0.5\n1\n"), "y": write(tmp / "y.csv", "x1\n2\n3\n"),
+           "kernel": write(tmp / "k.json", json.dumps(_gaussian_line_spec())),
+           "perms": 19, "seed": 3, "alpha": 0.1, "out": str(tmp / "out.json")}
+    key = data.draw(st.sampled_from([*cfg, "grid", "config", "command", "help", "points",
+                                     "inject_fault", "inject-fault"]))
+    cfg[key] = data.draw(_CONFIG_VALUES, label=key)
+    config = write(tmp / "cfg.json", json.dumps(cfg))
+    cwd = os.getcwd()
+    os.chdir(tmp)  # a relative --out lands here
+    try:
+        _assert_clean_exit(*_run_cli(["test2", "--config", config]))
+    finally:
+        os.chdir(cwd)

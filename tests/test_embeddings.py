@@ -107,15 +107,6 @@ def test_kme_sq_norm_dirac_difference():
     assert val == pytest.approx(1.2642411, abs=1e-7)
 
 
-def test_kme_sq_norm_of_zero_difference_is_exactly_zero(rng):
-    from kernmetric import measure_difference
-
-    k = make_radial_hilbert(Gaussian(alpha=1.0), E2)
-    for _ in range(10):
-        mu = random_prob_measure(rng, atoms=4)
-        assert kme_sq_norm(k, measure_difference(mu, mu)) == 0.0
-
-
 def test_kme_sq_norm_matches_double_sum(rng):
     k = make_radial_hilbert(Gaussian(alpha=1.0), E2)
     for _ in range(10):

@@ -1,4 +1,6 @@
+import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 
 from kernmetric import (
     DiscreteLaplace,
+    DiscreteMeasure,
     DomainError,
+    Euclidean,
     ExpSqrt,
     Gaussian,
     InverseRational,
     complete_monotonicity_check,
     is_strictly_pd_class,
+    make_radial_hilbert,
+    mmd,
     profile_from_json,
     profile_to_json,
 )
@@ -76,12 +82,6 @@ def test_complete_monotonicity_inverse_rational():
     assert complete_monotonicity_check(InverseRational(beta=1.0, scale=1.0), grid, 4)
 
 
-def test_complete_monotonicity_all_shipped_variants():
-    grid = np.arange(0.0, 10.25, 0.25)
-    for phi in ALL_PROFILES:
-        assert complete_monotonicity_check(phi, grid, 4)
-
-
 def test_cosine_fails_monotonicity():
     # test double: cos oscillates, so finite differences change sign
     class Cosine:
@@ -101,12 +101,30 @@ def test_monotonicity_check_rejects_bad_grids():
         complete_monotonicity_check(Gaussian(alpha=1.0), [0.0, 1.0], 7)
 
 
-def test_discrete_laplace_matches_direct_summation():
-    atoms = ((0.3, 0.2), (1.5, 0.5), (4.0, 0.3))
-    phi = DiscreteLaplace(atoms=atoms)
-    for t in (0.0, 0.1, 1.0, 3.7, 10.0):
-        direct = sum(w * math.exp(-x * t) for x, w in atoms)
-        assert phi(t) == pytest.approx(direct, rel=1e-14)
+def _inverse_rational_closed_form(beta: float, scale: float, t: float) -> float:
+    """exp(-beta * log(1 + t / scale)), evaluated in 60-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        log_base = (1 + decimal.Decimal(t) / decimal.Decimal(scale)).ln()
+        return float((-decimal.Decimal(beta) * log_base).exp())
+
+
+@pytest.mark.parametrize("beta,scale", [(1e-320, 1e-320), (1.0, 1e-320), (1.0, 1.0), (0.5, 2.0)])
+def test_inverse_rational_matches_log_space_closed_form(beta, scale):
+    t = np.array([0.0, 5e-324, 1e-320, 1e-300, 1e-5, 0.5, 1.0, 2.0, 1e3, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = InverseRational(beta=beta, scale=scale)(t)
+    expected = np.array([_inverse_rational_closed_form(beta, scale, v) for v in t])
+    # two units in the last place of the subnormals, where the closed form is below 1e-308
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-323)
+
+
+def test_inverse_rational_with_tiny_parameters_gives_zero_mmd():
+    phi = InverseRational(beta=1e-320, scale=1e-320)
+    p = DiscreteMeasure(Euclidean(1), (np.array([0.0]),), np.array([1.0]))
+    q = DiscreteMeasure(Euclidean(1), (np.array([1.0]),), np.array([1.0]))
+    assert phi(1.0) == 1.0
+    assert mmd(make_radial_hilbert(phi, Euclidean(1)), p, q) == 0.0
 
 
 @settings(max_examples=100)
