@@ -51,15 +51,19 @@ def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
     if scale is None:
         scale = max(1.0, float(np.max(np.abs(g))))
     tol = 1e-10 * float(np.sum(np.abs(w))) ** 2 * scale
-    if val < -tol:
-        raise DomainError(
-            f"quadratic form is negative beyond roundoff ({val}); kernel is not PSD"
-        )
+    check_roundoff(val, tol, "quadratic form")
     # symmetric clamp: |val| <= tol collapses to exactly 0, so the norm of
     # mu - mu is 0 and square roots downstream are safe
     if abs(val) <= tol:
         return 0.0
     return val
+
+
+def check_roundoff(val, tol: float, what: str):
+    """DomainError where val (a number or array) is negative beyond the roundoff tol."""
+    low = float(np.min(val, initial=0.0))
+    if low < -tol:
+        raise DomainError(f"{what} is negative beyond roundoff ({low})")
 
 
 def kme_inner(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

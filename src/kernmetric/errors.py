@@ -9,6 +9,9 @@ class DomainError(KernmetricError):
     """An argument is outside the mathematical domain of an operation."""
 
 
+OVERFLOW = "kernel values overflow or are undefined on these points"
+
+
 class ShapeError(KernmetricError):
     """Two objects live on incompatible spaces or grids."""
 

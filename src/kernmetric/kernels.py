@@ -5,7 +5,9 @@ kernels, mixtures, and kernels on spaces of discrete measures.
 Every kernel is an immutable evaluation rule ``k(x, y)`` over a point
 space; evaluation is pure and symmetric by construction.  ``k.pairwise(xs,
 ys)`` evaluates the whole cross block of two point lists with array
-operations, and a scalar ``k(x, y)`` is its 1 x 1 block.
+operations, and a scalar ``k(x, y)`` is its 1 x 1 block.  ``pairwise``
+checks and stacks each list once and rejects a block that is not finite; the
+rules compute only ``_block`` from the stacked points (``stack_points``).
 
 Seven rules are a completely monotone profile of a negative-type argument,
 k(x, y) = phi(arg(x, y)), and one class evaluates them all from the
@@ -35,6 +37,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
+    OVERFLOW,
     DegeneracyError,
     DomainError,
     InjectivityError,
@@ -90,7 +93,16 @@ class KernelSpec:
         raise NotImplementedError
 
     def pairwise(self, xs, ys) -> np.ndarray:
-        """Cross block ``[[k(x, y) for y in ys] for x in xs]``."""
+        """Cross block ``[[k(x, y) for y in ys] for x in xs]``; each list is checked and
+        stacked once (once in all when ys is xs, as in every Gram matrix), and an
+        entry that is not finite raises DomainError, so that no statistic is NaN."""
+        block = self._block(*_rows_pair(partial(stack_points, self.space), xs, ys))
+        if not np.all(np.isfinite(block)):
+            raise DomainError(OVERFLOW)
+        return block
+
+    def _block(self, xs, ys) -> np.ndarray:
+        """The cross block of two stacked point lists (``stack_points``)."""
         raise NotImplementedError
 
     def _one(self, x, y) -> float:
@@ -168,11 +180,6 @@ MapSpec = Union[Identity, DiagonalScale, LinearGridMap]
 # kernel rules
 
 
-#: ``embed(xs, ys) -> (ex, ey, col_weights)``: the embedded rows of two point
-#: lists, and the weights of the squared column differences (None: all ones)
-Embedding = Callable[[Sequence, Sequence], Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
-
-
 def _rows_pair(rows: Callable[[Sequence], np.ndarray], xs, ys):
     """(rows(xs), rows(ys)), with rows evaluated once when ys is xs, as in every Gram."""
     ex = rows(xs)
@@ -187,32 +194,31 @@ def _sq_dists(ex: np.ndarray, ey: np.ndarray, col_weights: Optional[np.ndarray])
                         ex, ey)
 
 
-def _embedded_sq_dists(embed: Embedding, xs, ys) -> np.ndarray:
-    return _sq_dists(*embed(xs, ys))
+def _embedded_sq_dists(rows: Callable, col_weights: Optional[np.ndarray], xs, ys) -> np.ndarray:
+    return _sq_dists(*_rows_pair(rows, xs, ys), col_weights)
 
 
-def _metric_dists(metric: MetricSpec, space: PointSpace, xs, ys) -> np.ndarray:
-    return metric_dists(metric, *_rows_pair(partial(stack_points, space), xs, ys))
+def _kme_side(k1: KernelSpec, measures: tuple):
+    """The atoms of measures, stacked once; the offset and the rows of each measure's
+    atoms; and each ||Phi(mu)||^2 = w_mu' K1 w_mu."""
+    atoms = stack_points(k1.space, [p for m in measures for p in m.points])
+    starts = np.cumsum([0] + [len(m.weights) for m in measures[:-1]])
+    own = np.split(atoms, starts[1:])
+    self_terms = [m.weights @ k1._block(a, a) @ m.weights for m, a in zip(measures, own)]
+    return atoms, starts, own, self_terms
 
 
-def _kme_sq_dists(k1: KernelSpec, space: MeasurePoints, xs, ys) -> np.ndarray:
+def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
     """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
     one mu at a time so that no temporary spans the atoms of two measures of xs;
     exactly 0 where both sides are the same measure (equal ``measure_key``), and
     clamped at 0 against roundoff."""
-    xs, ys = [as_point(space, m) for m in xs], [as_point(space, m) for m in ys]
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
-    atoms = [p for nu in ys for p in nu.points]
-    if isinstance(k1.space, Euclidean):
-        # stacked once here rather than by k1.pairwise once per measure of xs
-        atoms = stack_points(k1.space, atoms)
+    (_, _, own_x, sx), (ay, starts, _, sy) = _rows_pair(partial(_kme_side, k1), xs, ys)
     wy = np.concatenate([nu.weights for nu in ys])
-    starts = np.cumsum([0] + [len(nu.points) for nu in ys[:-1]])
-    inner = np.array([np.add.reduceat(mu.weights @ k1.pairwise(mu.points, atoms) * wy, starts)
-                      for mu in xs])
-    sx, sy = ([m.weights @ k1.pairwise(m.points, m.points) @ m.weights for m in ms]
-              for ms in (xs, ys))
+    inner = np.array([np.add.reduceat(mu.weights @ k1._block(a, ay) * wy, starts)
+                      for mu, a in zip(xs, own_x)])
     d2 = np.add.outer(sx, sy) - 2.0 * inner
     ids = {}
     ix = [ids.setdefault(measure_key(m), len(ids)) for m in xs]
@@ -227,7 +233,7 @@ class _ProfileKernel(KernelSpec):
 
     phi: PhiProfile
     space: PointSpace
-    #: ``arg(xs, ys)``: the argument block of two point lists
+    #: ``arg(xs, ys)``: the argument block of two stacked point lists
     arg: Callable[[Sequence, Sequence], np.ndarray]
 
     def __post_init__(self):
@@ -240,7 +246,7 @@ class _ProfileKernel(KernelSpec):
     def __call__(self, x, y) -> float:
         return self._one(x, y)
 
-    def pairwise(self, xs, ys) -> np.ndarray:
+    def _block(self, xs, ys) -> np.ndarray:
         return self.phi(self.arg(xs, ys))
 
 
@@ -248,11 +254,8 @@ class _KmeMeasure(_ProfileKernel):
     """k2(mu, nu) = phi(||Phi_{k1}(mu) - Phi_{k1}(nu)||^2)."""
 
     def __call__(self, mu, nu) -> float:
-        mu, nu = as_point(self.space, mu), as_point(self.space, nu)
         # canonical order, so the value is bitwise symmetric in (mu, nu)
-        if measure_key(nu) < measure_key(mu):
-            mu, nu = nu, mu
-        return self._one(mu, nu)
+        return self._one(*sorted(stack_points(self.space, (mu, nu)), key=measure_key))
 
 
 @dataclass(frozen=True)
@@ -266,14 +269,9 @@ class _DistanceKernel(KernelSpec):
     def __call__(self, x, y) -> float:
         return self._one(x, y)
 
-    def pairwise(self, xs, ys) -> np.ndarray:
-        xs, ys = _rows_pair(partial(stack_points, self.space), xs, ys)
-        z0 = stack_points(self.space, [self.z0])
-        return (
-            metric_dists(self.metric, xs, z0)
-            + metric_dists(self.metric, z0, ys)
-            - metric_dists(self.metric, xs, ys)
-        )
+    def _block(self, xs, ys) -> np.ndarray:
+        z0, rho = stack_points(self.space, [self.z0]), partial(metric_dists, self.metric)
+        return rho(xs, z0) + rho(z0, ys) - rho(xs, ys)
 
 
 @dataclass(frozen=True)
@@ -291,18 +289,18 @@ class _Mixture(KernelSpec):
     def __call__(self, x, y) -> float:
         return self._one(x, y)
 
-    def pairwise(self, xs, ys) -> np.ndarray:
-        xs, ys = _rows_pair(list, xs, ys)
-        return sum(w * k.pairwise(xs, ys) for k, w in self.components)
+    def _block(self, xs, ys) -> np.ndarray:
+        return sum(w * k._block(xs, ys) for k, w in self.components)
 
 
 # ---------------------------------------------------------------------------
 # constructors (validation lives here)
 
 
-def _radial(phi: PhiProfile, space: PointSpace, embed: Embedding) -> KernelSpec:
-    """phi(||E(x) - E(y)||^2) for the row embedding ``embed``."""
-    return _ProfileKernel(phi, space, partial(_embedded_sq_dists, embed))
+def _radial(phi: PhiProfile, space: PointSpace, rows: Callable, col_weights=None) -> KernelSpec:
+    """phi(||E(x) - E(y)||^2) for the row map E = ``rows`` of the stacked points, the
+    squared column differences weighted by col_weights (None: all ones)."""
+    return _ProfileKernel(phi, space, partial(_embedded_sq_dists, rows, col_weights))
 
 
 def make_radial_hilbert(phi: PhiProfile, space: PointSpace) -> KernelSpec:
@@ -323,12 +321,8 @@ def _map_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelSpec:
         )
     if isinstance(space, MeasurePoints):
         raise ShapeError("radial kernels on measure points are built by make_kme_measure")
-    return _radial(phi, space, partial(_map_embedding, tee, space))
-
-
-def _map_embedding(tee: MapSpec, space: PointSpace, xs, ys):
     w = space.grid.weights if isinstance(space, FuncLp) else None
-    return (*_rows_pair(lambda pts: tee.apply(stack_points(space, pts)), xs, ys), w)
+    return _radial(phi, space, tee.apply, w)
 
 
 def make_lp_operator(
@@ -349,12 +343,8 @@ def make_lp_operator(
         )
     root = vecs * np.sqrt(np.maximum(lam, 0.0))
     root.setflags(write=False)
-    space = FuncLp(grid, float(p))
-    return _radial(phi, space, partial(_operator_embedding, space, root))
-
-
-def _operator_embedding(space: FuncLp, root: np.ndarray, xs, ys):
-    return (*_rows_pair(lambda pts: stack_points(space, pts) @ root, xs, ys), None)
+    # f -> f R, as the bound method, so that the kernel pickles
+    return _radial(phi, FuncLp(grid, float(p)), root.__rmatmul__)
 
 
 def check_lp_nondegeneracy(k1: KernelSpec, grid: QuadratureGrid) -> bool:
@@ -381,8 +371,7 @@ def _weighted_form(k1: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
 def make_metric_phi(phi: PhiProfile, metric: MetricSpec) -> KernelSpec:
     """k(x, y) = phi(rho(x, y)) over a metric of strong negative type."""
     # LpMetric enforces 1 < p <= 2 at construction; EuclideanMetric is whitelisted
-    space = metric.space()
-    return _ProfileKernel(phi, space, partial(_metric_dists, metric, space))
+    return _ProfileKernel(phi, metric.space(), partial(metric_dists, metric))
 
 
 def make_distance_kernel(metric: MetricSpec, z0) -> KernelSpec:
@@ -410,8 +399,7 @@ def make_kme_measure(phi: PhiProfile, k1: KernelSpec) -> KernelSpec:
     """Kernel on discrete measures through the mean embedding of k1."""
     if isinstance(k1.space, MeasurePoints):
         raise ShapeError("the base kernel must live on the base point space")
-    space = MeasurePoints(k1.space)
-    return _KmeMeasure(phi, space, partial(_kme_sq_dists, k1, space))
+    return _KmeMeasure(phi, MeasurePoints(k1.space), partial(_kme_sq_dists, k1))
 
 
 def gaussian_frequencies(n: int, dim: int, seed: int) -> tuple:
@@ -445,18 +433,15 @@ def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:
     if abs(float(np.sum(fw)) - 1.0) > 1e-12:
         raise DomainError(f"frequency weights must sum to 1, got {np.sum(fw)}")
     fr.setflags(write=False)
-    space = MeasurePoints(Euclidean(fr.shape[1]))
-    return _radial(phi, space, partial(_fourier_embedding, space, fr, np.sqrt(fw)))
+    return _radial(phi, MeasurePoints(Euclidean(fr.shape[1])),
+                   partial(_fourier_rows, fr, np.sqrt(fw)))
 
 
-def _fourier_embedding(space: MeasurePoints, freqs: np.ndarray, scale: np.ndarray, xs, ys):
-    def rows(measures):
-        cf = np.array([m.weights @ np.exp(1j * (as_point(space, m).points_array() @ freqs.T))
-                       for m in measures])
-        cf = cf.reshape(-1, len(scale)) * scale
-        return np.concatenate([cf.real, cf.imag], axis=1)
-
-    return (*_rows_pair(rows, xs, ys), None)
+def _fourier_rows(freqs: np.ndarray, scale: np.ndarray, measures: tuple) -> np.ndarray:
+    """The (Re, Im) characteristic function of each measure at the frequency atoms, scaled."""
+    cf = np.array([m.weights @ np.exp(1j * (m.points_array() @ freqs.T)) for m in measures])
+    cf = cf.reshape(-1, len(scale)) * scale
+    return np.concatenate([cf.real, cf.imag], axis=1)
 
 
 def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
@@ -464,7 +449,7 @@ def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
     a, b = u_grid.domain
     if not (a >= 0.0 and b <= 1.0):
         raise DomainError("u_grid must discretize [0, 1]")
-    return _radial(phi, _LINE_MEASURES, _quantile_embedding)
+    return _ProfileKernel(phi, _LINE_MEASURES, _quantile_sq_dists)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +458,9 @@ def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
 
 def _base_gram(k: KernelSpec, points) -> np.ndarray:
     """Exactly symmetric Gram matrix of a kernel on a list (or stacked array) of
-    points: the upper triangle of the ``pairwise`` block, mirrored.  Raises DomainError
-    when an entry is not finite, so that no statistic built on it is NaN."""
+    points: the upper triangle of the ``pairwise`` block, mirrored."""
     pts = points if isinstance(points, np.ndarray) else list(points)
     g = np.triu(k.pairwise(pts, pts))
-    if not np.all(np.isfinite(g)):
-        raise DomainError("kernel values overflow or are undefined on these points")
     return g + np.triu(g, 1).T
 
 
@@ -497,15 +479,15 @@ def _quantile_breaks(mu: DiscreteMeasure):
     return xs, cum
 
 
-def _quantile_embedding(xs, ys):
-    """Every quantile function of the block at the midpoints of the cells between
-    all the block's breakpoints, with the cell widths as column weights.
+def _quantile_sq_dists(xs: tuple, ys: tuple) -> np.ndarray:
+    """Squared L^2 distances of the quantile functions of two lists of line measures:
+    the rows are each function at the midpoints of the cells between all the
+    block's breakpoints, and the cell widths weight the columns.
 
     Each quantile function is constant on each cell, so the weighted squared
     distance of two rows is the exact squared L^2 distance of the two functions.
     """
-    bx, by = _rows_pair(lambda ms: [_quantile_breaks(as_point(_LINE_MEASURES, m)) for m in ms],
-                        xs, ys)
+    bx, by = _rows_pair(lambda ms: [_quantile_breaks(m) for m in ms], xs, ys)
     # 1.0 is every quantile function's top breakpoint
     hi = np.unique(np.concatenate([[1.0], *(cum for _, cum in bx), *(cum for _, cum in by)]))
     hi = hi[(hi > 0.0) & (hi <= 1.0)]
@@ -515,7 +497,7 @@ def _quantile_embedding(xs, ys):
     def rows(breaks):
         return np.array([x[np.searchsorted(cum, mid)] for x, cum in breaks]).reshape(-1, len(mid))
 
-    return (*_rows_pair(rows, bx, by), hi - lo)
+    return _sq_dists(*_rows_pair(rows, bx, by), hi - lo)
 
 
 def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -525,4 +507,5 @@ def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     breakpoint partition; for 1-D measures this equals the squared
     2-Wasserstein distance.
     """
-    return float(_sq_dists(*_quantile_embedding([mu], [nu]))[0, 0])
+    mu, nu = stack_points(_LINE_MEASURES, (mu, nu))
+    return float(_quantile_sq_dists([mu], [nu])[0, 0])

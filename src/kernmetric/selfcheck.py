@@ -40,7 +40,7 @@ from .stats import (
     permutation_test,
 )
 
-__all__ = ["run_selfcheck", "CHECKS"]
+__all__ = ["run_selfcheck", "CHECKS", "sample_kernels", "separated_points"]
 
 _PROFILES = [
     Gaussian(alpha=1.0),
@@ -139,7 +139,7 @@ def check_measure_difference_mass():
     return True
 
 
-def _sample_kernels(rng):
+def sample_kernels(rng):
     """One instance of each of the nine rules, with point generators."""
     grid = trapezoid_grid(12)
     phi = Gaussian(alpha=0.5)
@@ -177,7 +177,7 @@ def _sample_kernels(rng):
 
 def check_kernel_symmetry():
     rng = _rng()
-    for _, k, gen in _sample_kernels(rng):
+    for _, k, gen in sample_kernels(rng):
         for _ in range(20):
             x, y = gen(rng), gen(rng)
             if k(x, y) != k(y, x):
@@ -187,7 +187,7 @@ def check_kernel_symmetry():
 
 def check_kernel_diagonal():
     rng = _rng()
-    for name, k, gen in _sample_kernels(rng):
+    for name, k, gen in sample_kernels(rng):
         x = gen(rng)
         if name == "distance":
             expected = 2.0 * metric_dist(k.metric, x, k.z0)
@@ -200,7 +200,7 @@ def check_kernel_diagonal():
 
 def check_kernel_boundedness():
     rng = _rng()
-    for name, k, gen in _sample_kernels(rng):
+    for name, k, gen in sample_kernels(rng):
         if name == "distance":
             continue
         bound = k.diag_value
@@ -212,7 +212,7 @@ def check_kernel_boundedness():
 
 def check_gram_psd():
     rng = _rng()
-    for _, k, gen in _sample_kernels(rng):
+    for _, k, gen in sample_kernels(rng):
         pts = [gen(rng) for _ in range(8)]
         g = gram(k, pts)
         if min_eigenvalue(g) < -1e-8 * max(1.0, float(np.trace(g.entries))):
@@ -222,25 +222,26 @@ def check_gram_psd():
 
 def check_gram_strict_pd():
     rng = _rng()
-    for name, k, gen in _sample_kernels(rng):
+    for name, k, gen in sample_kernels(rng):
         if name == "distance":
             continue
-        pts = _separated_points(rng, gen, 6)
+        pts = separated_points(rng, gen, 6)
         g = gram(k, pts)
         if min_eigenvalue(g) <= 1e-12 * k.diag_value:
             return False
     return True
 
 
-def _separated_points(rng, gen, count, min_dist=0.1):
+def separated_points(rng, gen, count, min_dist=0.1):
+    """count points of gen, pairwise min_dist apart (``_point_dist``), in 1000 draws."""
     pts = []
-    guard = 0
-    while len(pts) < count and guard < 1000:
-        guard += 1
+    for _ in range(1000):
         cand = gen(rng)
         if all(_point_dist(cand, p) >= min_dist for p in pts):
             pts.append(cand)
-    return pts
+            if len(pts) == count:
+                return pts
+    raise RuntimeError(f"1000 draws gave {len(pts)} of {count} points {min_dist} apart")
 
 
 def _point_dist(a, b):
@@ -341,7 +342,7 @@ def check_cauchy_schwarz():
 
 def check_ispd_on_signed_measures():
     rng = _rng()
-    for name, k, gen in _sample_kernels(rng):
+    for name, k, gen in sample_kernels(rng):
         if name in ("distance", "quantile_monge", "fourier_measure"):
             continue  # checked on probability/zero-mass classes elsewhere
         space = k.space

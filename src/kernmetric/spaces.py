@@ -123,10 +123,6 @@ class Euclidean:
         if self.dim < 1:
             raise DomainError("dimension must be positive")
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim,) and bool(np.all(np.isfinite(x)))
-
 
 @dataclass(frozen=True)
 class FuncLp:
@@ -136,9 +132,6 @@ class FuncLp:
     def __post_init__(self):
         if not (1.0 < self.p < np.inf):
             raise DomainError(f"p must lie in (1, inf), got {self.p}")
-
-    def contains(self, x) -> bool:
-        return isinstance(x, FunctionSample) and x.grid == self.grid
 
 
 @dataclass(frozen=True)
@@ -151,30 +144,31 @@ class MeasurePoints:
         if isinstance(self.base, MeasurePoints):
             raise DomainError("measure spaces may not be nested")
 
-    def contains(self, x) -> bool:
-        return isinstance(x, DiscreteMeasure) and x.space == self.base
-
 
 PointSpace = Union[Euclidean, FuncLp, MeasurePoints]
 
 
 def as_point(space: PointSpace, x):
-    """Coerce and validate a raw point for the given space."""
-    if isinstance(space, Euclidean):
-        return stack_points(space, [x])[0]
-    if not space.contains(x):
-        raise ShapeError(f"point {type(x).__name__} does not belong to {space}")
-    return x
+    """Validate one point (``stack_points``): a Euclidean point as its row, others as they are."""
+    row = stack_points(space, [x])[0]
+    return x if isinstance(space, FuncLp) else row
 
 
-def stack_points(space: PointSpace, points) -> np.ndarray:
-    """Validate points of a Euclidean or function space and stack them as rows.
+def stack_points(space: PointSpace, points):
+    """Check that points belong to the space, and stack them as the kernels take them.
 
-    Returns an (n, d) array: the coordinates of n points in R^d, or the
-    values of n function samples on a d-node grid.  Euclidean points must
-    be finite (function samples are checked when they are built).  Each
-    distinct grid object of the samples is compared with the space's grid once.
+    Returns an (n, d) array, the coordinates of n points in R^d or the values
+    of n function samples on a d-node grid, or, on a measure space, the tuple
+    of the n measures.  Euclidean points must be finite (function samples and
+    measures are checked when they are built).  Each distinct grid object of
+    the samples is compared with the space's grid once.
     """
+    if isinstance(space, MeasurePoints):
+        points = tuple(points)
+        for x in points:
+            if not (isinstance(x, DiscreteMeasure) and x.space == space.base):
+                raise ShapeError(f"point {type(x).__name__} does not belong to {space}")
+        return points
     if isinstance(space, FuncLp):
         # grids found equal to space.grid, by id; held here, so that no id is reused
         on_grid = {id(space.grid): space.grid}
@@ -187,7 +181,7 @@ def stack_points(space: PointSpace, points) -> np.ndarray:
             values.append(x.values)
         return np.array(values).reshape(-1, len(space.grid))
     if not isinstance(space, Euclidean):
-        raise ShapeError(f"points of {space} do not stack into an array")
+        raise ShapeError(f"{space} is not a point space")
     try:
         xs = np.asarray(points, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -225,7 +219,8 @@ class DiscreteMeasure:
             object.__setattr__(self, "_rows", rows)
             points = tuple(rows)
         else:
-            points = tuple(as_point(self.space, p) for p in self.points)
+            points = tuple(self.points)
+            stack_points(self.space, points)  # checks that each point belongs to the space
         weights = np.asarray(self.weights, dtype=float)
         if len(points) < 1:
             raise DomainError("a measure needs at least one support point")

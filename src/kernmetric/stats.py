@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import kme_sq_norm
-from .errors import DomainError, ShapeError
+from .embeddings import check_roundoff, kme_sq_norm
+from .errors import OVERFLOW, DomainError, ShapeError
 from .kernels import KernelSpec, _base_gram
 from .spaces import (
     DiscreteMeasure,
@@ -70,6 +70,19 @@ def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     return float(np.sqrt(kme_sq_norm(k, measure_difference(p, q))))
 
 
+def _self_values(k: KernelSpec, *point_lists) -> list:
+    """k(z, z) at each point, one array per list (phi(0) for a profile kernel)."""
+    diag = k.diag_value
+    return [np.full(len(pts), diag) if diag is not None else np.array([k(z, z) for z in pts])
+            for pts in point_lists]
+
+
+def _roundoff_tol(*self_values: np.ndarray) -> float:
+    """1e-10 * max(1, s) for s the largest self-value k(z, z) of the points involved,
+    which bounds every term of a score or divergence."""
+    return 1e-10 * float(np.max(np.concatenate(self_values), initial=1.0))
+
+
 def kernel_score(k: KernelSpec, p: DiscreteMeasure, x) -> float:
     """Kernel score of forecast p at outcome x (nonnegative convention).
 
@@ -91,12 +104,9 @@ def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray
     # summed atom by atom, so that each outcome's score has the same bits
     # whatever the other outcomes are
     cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.support, xs)))
-    diag = k.diag_value
-    if diag is None:
-        diag = np.array([k(x, x) for x in xs])
-    val = -cross + 0.5 * kme_sq_norm(k, p) + 0.5 * diag
-    if np.any(val < -1e-10):
-        raise DomainError(f"kernel score is negative beyond roundoff ({np.min(val)})")
+    atoms, outcomes = _self_values(k, p.support, xs)
+    val = -cross + 0.5 * kme_sq_norm(k, p) + 0.5 * outcomes
+    check_roundoff(val, _roundoff_tol(atoms, outcomes), "kernel score")
     return np.where(val < 0, 0.0, val)
 
 
@@ -110,11 +120,8 @@ def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> flo
 def divergence(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Score divergence d(P, Q) = S(Q, P) - S(P, P); equals half the squared MMD."""
     val = expected_score(k, q, p) - expected_score(k, p, p)
-    if val < 0:
-        if val < -1e-10:
-            raise DomainError(f"divergence is negative beyond roundoff ({val})")
-        val = 0.0
-    return val
+    check_roundoff(val, _roundoff_tol(*_self_values(k, p.support, q.support)), "divergence")
+    return 0.0 if val < 0 else val
 
 
 def _u_statistic_from_gram(g: np.ndarray, n: int, m: int) -> float:
@@ -286,4 +293,7 @@ def energy_distance(metric: MetricSpec, p: DiscreteMeasure, q: DiscreteMeasure) 
         dists = metric_dists(metric, stack_points(space, a.support), stack_points(space, b.support))
         return float(a.weights @ (dists @ b.weights))
 
-    return 2.0 * form(p, q) - form(p, p) - form(q, q)
+    val = 2.0 * form(p, q) - form(p, p) - form(q, q)
+    if not np.isfinite(val):
+        raise DomainError(OVERFLOW)
+    return val

@@ -46,7 +46,7 @@ from kernmetric import (
     quantile_sq_w2,
     trapezoid_grid,
 )
-from kernmetric.selfcheck import _sample_kernels
+from kernmetric.selfcheck import sample_kernels, separated_points
 
 E1, E2 = Euclidean(1), Euclidean(2)
 PHI = Gaussian(alpha=0.5)
@@ -61,22 +61,10 @@ def _rng():
     return np.random.default_rng(20260826)
 
 
-def _separated(gen, rng, count, min_dist):
-    """Distinct, pairwise-separated points from a generator."""
-    from kernmetric.selfcheck import _point_dist
-
-    pts = []
-    while len(pts) < count:
-        cand = gen(rng)
-        if all(_point_dist(cand, p) >= min_dist for p in pts):
-            pts.append(cand)
-    return pts
-
-
 def test_criterion_01_psd_suite():
     rng = _rng()
     ok = True
-    for name, k, gen in _sample_kernels(rng):
+    for name, k, gen in sample_kernels(rng):
         for _ in range(100):
             m = int(rng.integers(2, 26))
             g = gram(k, [gen(rng) for _ in range(m)])
@@ -89,12 +77,12 @@ def test_criterion_01_psd_suite():
 def test_criterion_02_strict_pd_suite():
     rng = _rng()
     ok = True
-    for name, k, gen in _sample_kernels(rng):
+    for name, k, gen in sample_kernels(rng):
         if name == "distance":
             continue  # conditionally PD only
         phi0 = k.diag_value
         for _ in range(50):
-            pts = _separated(gen, rng, 6, 0.15)
+            pts = separated_points(rng, gen, 6, 0.15)
             if min_eigenvalue(gram(k, pts)) <= 1e-12 * phi0:
                 ok = False
     _report(2, "strict PD suite", ok)
@@ -159,12 +147,12 @@ def test_criterion_05_energy_distance_equivalence():
 def test_criterion_06_characteristic_desk_check():
     rng = _rng()
     ok = True
-    for name, k, gen in _sample_kernels(rng):
+    for name, k, gen in sample_kernels(rng):
         if name == "distance":
             continue
         space = k.space
         for _ in range(200):
-            a, b = _separated(gen, rng, 2, 1e-2)
+            a, b = separated_points(rng, gen, 2, 1e-2)
             p = DiscreteMeasure(space, (a,), np.array([1.0]))
             q = DiscreteMeasure(space, (b,), np.array([1.0]))
             if mmd(k, p, q) <= 0.0:

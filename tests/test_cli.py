@@ -321,6 +321,27 @@ def test_cli_score_wrong_obs_dimension_is_data_error(tmp_path, kernel_file):
     assert code == 3
 
 
+@pytest.mark.parametrize("seed", [5, 6, 8])
+def test_cli_score_roundoff_scales_with_the_kernel(tmp_path, seed):
+    # k(x, x) = 2 |x - z0| is about 2e6; the score of a forecast with every atom
+    # at the observation x is 0, computed with about 2e6 times the roundoff of k = 1
+    spec = {"space": {"kind": "euclidean", "dim": 2},
+            "rule": {"kind": "distance", "metric": {"kind": "euclidean", "dim": 2},
+                     "z0": [1e6, 0]}}
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=2)
+    w = rng.uniform(0.1, 1.0, size=5)
+    point = f"{fmt(x[0])},{fmt(x[1])}"
+    forecast = write(tmp_path / "f.csv", "x1,x2,weight\n"
+                     + "".join(f"{point},{fmt(v)}\n" for v in w / w.sum()))
+    obs = write(tmp_path / "o.csv", f"x1,x2\n{point}\n")
+    out = tmp_path / "s.csv"
+    code = main(["score", "--kernel", write(tmp_path / "k.json", json.dumps(spec)),
+                 "--forecast", forecast, "--obs", obs, "--out", str(out)])
+    assert code == 0
+    assert 0.0 <= float(out.read_text().splitlines()[1]) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # CLI: power
 
@@ -567,23 +588,27 @@ def test_cli_mmd_scalar_frequency_weights_is_usage_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: 'freq_weights' must be")
 
 
-@pytest.mark.parametrize("command", ["mmd", "test2"])
+@pytest.mark.parametrize("command", ["mmd", "test2", "score", "gram"])
 def test_cli_overflowing_kernel_values_are_data_error(tmp_path, capsys, command):
     # |x - z0| overflows when squared, so k(x, y) = inf + inf - inf
     spec = {"rule": {"kind": "distance", "metric": {"kind": "euclidean", "dim": 1},
                      "z0": [1e200]}}
     kernel = write(tmp_path / "k.json", json.dumps(spec))
-    if command == "mmd":
-        x = write(tmp_path / "x.csv", "x1,weight\n0,0.5\n1,0.5\n")
-        y = write(tmp_path / "y.csv", "x1,weight\n2,1\n")
-    else:
-        x = write(tmp_path / "x.csv", "x1\n0\n1\n2\n")
-        y = write(tmp_path / "y.csv", "x1\n5\n6\n7\n")
+    measure = write(tmp_path / "m.csv", "x1,weight\n0,0.5\n1,0.5\n")
+    points = write(tmp_path / "p.csv", "x1\n0\n1\n2\n")
+    out_file = str(tmp_path / "out.csv")
+    args = {
+        "mmd": ["--x", measure, "--y", write(tmp_path / "q.csv", "x1,weight\n2,1\n")],
+        "test2": ["--x", points, "--y", write(tmp_path / "y.csv", "x1\n5\n6\n7\n")],
+        "score": ["--forecast", measure, "--obs", points, "--out", out_file],
+        "gram": ["--points", points, "--out", out_file],
+    }[command]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        assert main([command, "--kernel", kernel, "--x", x, "--y", y]) == 3
+        assert main([command, "--kernel", kernel, *args]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: kernel values overflow")
+    assert not Path(out_file).exists()
 
 
 def _gaussian_line_spec():

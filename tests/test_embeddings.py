@@ -172,3 +172,14 @@ def test_distance_kernel_gram_psd_on_signed_null_mass(rng):
         mu = random_prob_measure(rng, atoms=4)
         nu = random_prob_measure(rng, atoms=4)
         assert kme_sq_norm(k, measure_difference(mu, nu)) >= 0.0
+
+
+def test_overflowing_kernel_values_are_domain_errors():
+    # |x - z0| overflows when squared, so k(x, y) = inf + inf - |x - y|
+    k = make_distance_kernel(EuclideanMetric(2), np.array([1e200, 0.0]))
+    mu, nu = dirac(E2, np.zeros(2)), dirac(E2, np.array([1.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="overflow"):
+            k.pairwise([np.zeros(2)], [np.array([1.0, 0.0])])
+        with pytest.raises(DomainError, match="overflow"):
+            kme_inner(k, mu, nu)

@@ -38,7 +38,7 @@ from kernmetric import (
     trapezoid_grid,
 )
 
-from kernmetric.kernels import _quantile_breaks, _quantile_embedding, _sq_dists
+from kernmetric.kernels import _quantile_breaks, _quantile_sq_dists
 
 from conftest import random_function, random_prob_measure
 
@@ -275,6 +275,18 @@ def test_kme_measure_matches_double_loop(rng):
         assert k(mu, nu) == pytest.approx(PHI(max(naive, 0.0)), rel=1e-12)
 
 
+def test_kme_gram_evaluates_each_self_term_once(monkeypatch):
+    k = make_kme_measure(ExpSqrt(c=1.0), make_radial_hilbert(Gaussian(1.0), E2))
+    rng = np.random.default_rng(3)
+    ms = [random_prob_measure(rng, atoms=4) for _ in range(12)]
+    calls = []
+    base_phi = Gaussian.__call__
+    monkeypatch.setattr(Gaussian, "__call__", lambda phi, t: calls.append(t) or base_phi(phi, t))
+    gram(k, ms)
+    # one base block per measure against all atoms, and one per ||Phi(mu)||^2
+    assert len(calls) == 2 * len(ms)
+
+
 def test_fourier_measure_single_frequency():
     k = make_fourier_measure(Gaussian(alpha=1.0), [[1.0]], [1.0])
     mu = dirac(E1, one_d(0.0))
@@ -415,8 +427,7 @@ def test_quantile_block_embedding_matches_pairwise_merge(block, diff_block, monk
     k = make_quantile_monge(PHI, u_grid())
     for xs, ys in ((ms, ms), (ms, extra), (extra, ms[:1]), (ms[1:2], ms[2:3])):
         oracle = _pairwise_merge_sq_dists(xs, ys)
-        np.testing.assert_allclose(_sq_dists(*_quantile_embedding(xs, ys)), oracle,
-                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(_quantile_sq_dists(xs, ys), oracle, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(k.pairwise(xs, ys), PHI(oracle), rtol=1e-12, atol=0.0)
     g = gram(k, ms).entries
     np.testing.assert_allclose(g, PHI(_pairwise_merge_sq_dists(ms, ms)), rtol=1e-12, atol=0.0)

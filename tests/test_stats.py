@@ -21,6 +21,7 @@ from kernmetric import (
     kme_sq_norm,
     make_kme_measure,
     make_lp_operator,
+    make_mixture,
     make_quantile_monge,
     make_radial_hilbert,
     measure_difference,
@@ -148,6 +149,24 @@ def test_kernel_scores_compute_the_self_term_once(k2, rng, monkeypatch):
     q = random_prob_measure(rng, atoms=5)
     expected_score(k2, p, q)
     assert len(calls) == 2
+
+
+def _one_point_forecast(rng, atoms=5):
+    """A forecast with all its atoms at one point x, with random weights, and x."""
+    x = rng.normal(size=2)
+    w = rng.uniform(0.1, 1.0, size=atoms)
+    return DiscreteMeasure(E2, tuple(x for _ in range(atoms)), w / w.sum()), x
+
+
+def test_score_and_divergence_roundoff_scales_with_the_kernel():
+    # k(z, z) = 1e6: the score of the forecast at x and its divergence from the
+    # point mass at x are 0, computed with about 1e6 times the roundoff of phi(0) = 1
+    k = make_mixture([(make_radial_hilbert(PHI, E2), 1e6)])
+    for seed in range(200):
+        p, x = _one_point_forecast(np.random.default_rng(seed))
+        assert 0.0 <= kernel_scores(k, p, [x])[0] <= 1e-4
+        for a, b in ((p, dirac(E2, x)), (dirac(E2, x), p)):
+            assert 0.0 <= divergence(k, a, b) <= 1e-4
 
 
 def test_expected_score_self(k2, rng):
@@ -365,3 +384,14 @@ def test_energy_distance_two_diracs():
     p = dirac(E1, one_d(0.0))
     q = dirac(E1, one_d(1.0))
     assert energy_distance(metric, p, q) == 2.0
+
+
+@pytest.mark.parametrize("p_atoms", [1, 2])
+def test_energy_distance_overflow_is_domain_error(p_atoms):
+    # |x - y| overflows when squared: 2 inf - 0 - 0 = inf with one far atom,
+    # 2 inf - inf - 0 = NaN with two
+    far = np.array([1e200, 0.0])
+    p = DiscreteMeasure(E2, (far, np.zeros(2))[:p_atoms], np.full(p_atoms, 1.0 / p_atoms))
+    q = dirac(E2, np.ones(2))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="overflow"):
+        energy_distance(EuclideanMetric(2), p, q)
