@@ -43,7 +43,6 @@ from .spaces import (
     Euclidean,
     EuclideanMetric,
     FuncLp,
-    FunctionSample,
     LpMetric,
     MeasurePoints,
     QuadratureGrid,

@@ -19,7 +19,7 @@ from .embeddings import gram
 from .errors import KernmetricError, ShapeError
 from .io import ParseError
 from .selfcheck import run_selfcheck
-from .spaces import Euclidean, FuncLp, FunctionSample, trapezoid_grid
+from .spaces import Euclidean, FuncLp, trapezoid_grid
 from .stats import kernel_scores, mmd, permutation_test
 
 EXIT_OK = 0
@@ -135,12 +135,22 @@ def _apply_config(args: argparse.Namespace):
             raise ParseError(f"{args.config}: option {key!r}: {exc}") from exc
 
 
-def _load_kernel(args, space_hint=None, grid=None):
-    if args.kernel:
-        return kio.kernel_from_json(_read_json(args.kernel), grid=grid)
-    if space_hint is None:
-        raise ParseError("--kernel is required for this input")
-    return kio.default_kernel(space_hint)
+def _load_kernel(args, space, grid=None):
+    """The --kernel spec's kernel, or the default kernel on space, the data's space.
+
+    A point of space is a row, which a kernel takes only on its own space: the
+    same R^d, or L^p on the same grid, whatever p."""
+    if not args.kernel:
+        return kio.default_kernel(space)
+    k = kio.kernel_from_json(_read_json(args.kernel), grid=grid)
+    if isinstance(k.space, FuncLp) and isinstance(space, FuncLp):
+        takes = k.space.grid == space.grid
+    else:
+        takes = k.space == space
+    if not takes:
+        raise ShapeError("the kernel does not take the data's points: it needs their "
+                         "dimension, or their grid")
+    return k
 
 
 def _load_grid(args):
@@ -150,18 +160,19 @@ def _load_grid(args):
 
 
 def _load_sample_list(path: str, grid):
-    """Rows of a sample file as Euclidean points or function samples."""
+    """The (n, d) array of a sample file's points, function values on grid when one
+    is given, and their space."""
     if grid is not None:
         return kio.read_function_csv(path, grid), FuncLp(grid, 2.0)
     arr = kio.read_points_csv(path)
-    return [arr[i] for i in range(arr.shape[0])], Euclidean(arr.shape[1])
+    return arr, Euclidean(arr.shape[1])
 
 
 def cmd_gram(args) -> int:
     _require(args, "points", "out")
     grid = _load_grid(args)
     points, space = _load_sample_list(args.points, grid)
-    k = _load_kernel(args, space_hint=space, grid=grid)
+    k = _load_kernel(args, space, grid)
     kio.write_gram_csv(args.out, gram(k, points).entries)
     return EXIT_OK
 
@@ -170,7 +181,7 @@ def cmd_mmd(args) -> int:
     _require(args, "x", "y")
     p = kio.read_measure_csv(args.x)
     q = kio.read_measure_csv(args.y)
-    k = _load_kernel(args, space_hint=p.space)
+    k = _load_kernel(args, p.space)
     value = mmd(k, p, q)
     out = json.dumps({"mmd": value, "squared_mmd": value * value})
     if args.out:
@@ -197,7 +208,7 @@ def cmd_test2(args) -> int:
     ys, _ = _load_sample_list(args.y, grid)
     if len(xs) < 2 or len(ys) < 2:
         raise ShapeError("both sample files need at least 2 rows")
-    k = _load_kernel(args, space_hint=space, grid=grid)
+    k = _load_kernel(args, space, grid)
     result = permutation_test(k, xs, ys, n_perm=args.perms, seed=args.seed)
     verdict = "REJECT" if result.p_value <= args.alpha else "FAIL-TO-REJECT"
     payload = json.dumps(result.to_json())
@@ -216,7 +227,7 @@ def cmd_score(args) -> int:
     obs = kio.read_points_csv(args.obs)
     if obs.shape[1] != forecast.space.dim:
         raise ShapeError("observation dimension does not match the forecast")
-    k = _load_kernel(args, space_hint=forecast.space)
+    k = _load_kernel(args, forecast.space)
     scores = kernel_scores(k, forecast, obs)
     lines = ["score"]
     lines += [kio.fmt(s) for s in scores]
@@ -259,12 +270,8 @@ def _read_scenario(path: str):
 def _scenario_samples(space, n: int, m: int, noise: float, shift: float, rng):
     """The two samples of one trial, each drawn as one (rows, d) array: the same
     values as one draw per sample, since the generator fills arrays in row order."""
-    if isinstance(space, Euclidean):
-        return list(rng.normal(size=(n, space.dim))), list(rng.normal(size=(m, space.dim)) + shift)
-    grid = space.grid
-    xs = [FunctionSample(grid, row) for row in rng.normal(scale=noise, size=(n, len(grid)))]
-    ys = [FunctionSample(grid, row) for row in shift + rng.normal(scale=noise, size=(m, len(grid)))]
-    return xs, ys
+    d = len(space.grid) if isinstance(space, FuncLp) else space.dim
+    return rng.normal(scale=noise, size=(n, d)), shift + rng.normal(scale=noise, size=(m, d))
 
 
 def cmd_power(args) -> int:
@@ -276,7 +283,7 @@ def cmd_power(args) -> int:
         raise UsageError("--scenario is required")
     space, shifts, n, m, noise = _read_scenario(args.scenario)
     grid = _load_grid(args)
-    k = _load_kernel(args, space_hint=space, grid=grid)
+    k = _load_kernel(args, space, grid)
     lines = ["shift,rejection_rate,trials,mc_stderr"]
     for shift_index, shift in enumerate(shifts):
         rejections = 0

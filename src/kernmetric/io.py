@@ -20,10 +20,10 @@ from .spaces import (
     Euclidean,
     EuclideanMetric,
     FuncLp,
-    FunctionSample,
     LpMetric,
     MeasurePoints,
     QuadratureGrid,
+    stack_points,
     trapezoid_grid,
 )
 
@@ -69,7 +69,7 @@ class ParseError(DomainError):
     """A file failed to parse; message names the file and line."""
 
 
-def _rows(path: str) -> List[List[str]]:
+def _read_csv(path: str) -> List[List[str]]:
     try:
         with open(path, newline="") as fh:
             return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
@@ -92,7 +92,7 @@ def _table(path: str, header: Optional[Callable[[List[str]], None]] = None):
     have as many cells as the header, or, without one, as the first row; lines
     are numbered without the blank ones.
     """
-    rows = _rows(path)
+    rows = _read_csv(path)
     cells = []
     if header is not None:
         cells = [c.strip() for c in rows[0]] if rows else []
@@ -138,12 +138,15 @@ def write_grid_csv(path: str, grid: QuadratureGrid):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_function_csv(path: str, grid: QuadratureGrid) -> List[FunctionSample]:
-    """Function data CSV: one row per sample, m value columns, no header."""
+def read_function_csv(path: str, grid: QuadratureGrid) -> np.ndarray:
+    """Function data CSV: one row per function, its values at the grid's m nodes, no
+    header; returns the (n, m) array of the rows (``stack_points``)."""
     _, arr = _table(path)
-    if arr.ndim == 2 and arr.shape[1] != len(grid):
+    if arr.size == 0:
+        raise ParseError(f"{path}: empty file")
+    if arr.shape[1] != len(grid):
         raise ShapeError(f"{path}:1: row has {arr.shape[1]} columns, grid has {len(grid)} nodes")
-    return [FunctionSample(grid, row) for row in arr]
+    return stack_points(FuncLp(grid), arr)
 
 
 def read_points_csv(path: str) -> np.ndarray:
@@ -331,10 +334,7 @@ def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
         return K.make_metric_phi(phi, _metric_from_json(rule.get("metric", {}), grid))
     if kind == "distance":
         metric = _metric_from_json(rule.get("metric", {}), grid)
-        z0 = _array(rule, "z0", 1)
-        if not isinstance(metric, EuclideanMetric):
-            z0 = FunctionSample(metric.grid, z0)
-        return K.make_distance_kernel(metric, z0)
+        return K.make_distance_kernel(metric, _array(rule, "z0", 1))
     if kind == "mixture":
         comps = _value(rule, "components")
         if not isinstance(comps, list):

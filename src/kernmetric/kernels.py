@@ -199,9 +199,9 @@ def _embedded_sq_dists(rows: Callable, col_weights: Optional[np.ndarray], xs, ys
 
 
 def _kme_side(k1: KernelSpec, measures: tuple):
-    """The atoms of measures, stacked once; the offset and the rows of each measure's
+    """The atoms of measures as one array; the offset and the rows of each measure's
     atoms; and each ||Phi(mu)||^2 = w_mu' K1 w_mu."""
-    atoms = stack_points(k1.space, [p for m in measures for p in m.points])
+    atoms = np.concatenate([m.points for m in measures])
     starts = np.cumsum([0] + [len(m.weights) for m in measures[:-1]])
     own = np.split(atoms, starts[1:])
     self_terms = [m.weights @ k1._block(a, a) @ m.weights for m, a in zip(measures, own)]
@@ -434,12 +434,12 @@ def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:
         raise DomainError(f"frequency weights must sum to 1, got {np.sum(fw)}")
     fr.setflags(write=False)
     return _radial(phi, MeasurePoints(Euclidean(fr.shape[1])),
-                   partial(_fourier_rows, fr, np.sqrt(fw)))
+                   partial(_fourier_features, fr, np.sqrt(fw)))
 
 
-def _fourier_rows(freqs: np.ndarray, scale: np.ndarray, measures: tuple) -> np.ndarray:
+def _fourier_features(freqs: np.ndarray, scale: np.ndarray, measures: tuple) -> np.ndarray:
     """The (Re, Im) characteristic function of each measure at the frequency atoms, scaled."""
-    cf = np.array([m.weights @ np.exp(1j * (m.points_array() @ freqs.T)) for m in measures])
+    cf = np.array([m.weights @ np.exp(1j * (m.points @ freqs.T)) for m in measures])
     cf = cf.reshape(-1, len(scale)) * scale
     return np.concatenate([cf.real, cf.imag], axis=1)
 
@@ -471,7 +471,7 @@ def _quantile_breaks(mu: DiscreteMeasure):
     """Sorted support and cumulative weights: the quantile function's steps."""
     if not mu.is_probability:
         raise DomainError("quantile embedding requires probability measures")
-    xs = mu.points_array().ravel()
+    xs = mu.points.ravel()
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
     cum = np.cumsum(mu.weights[order])

@@ -23,7 +23,6 @@ from .spaces import (
     Euclidean,
     EuclideanMetric,
     FuncLp,
-    FunctionSample,
     LpMetric,
     dirac,
     measure_difference,
@@ -58,7 +57,7 @@ def _random_measures(rng, n_pairs, dim=2, atoms=3, probability=True):
     out = []
     space = Euclidean(dim)
     for _ in range(n_pairs):
-        pts = tuple(rng.normal(size=dim) for _ in range(atoms))
+        pts = rng.normal(size=(atoms, dim))
         if probability:
             w = rng.uniform(0.1, 1.0, size=atoms)
             w = w / w.sum()
@@ -105,9 +104,7 @@ def check_constant_profile_excluded():
 def check_trapezoid_exactness():
     grid = trapezoid_grid(101)
     l2 = LpMetric(grid, 2.0)
-    zero = FunctionSample(grid, np.zeros(101))
-    one = FunctionSample(grid, np.ones(101))
-    lin = FunctionSample(grid, grid.nodes)
+    zero, one, lin = np.zeros(101), np.ones(101), grid.nodes
     return (
         abs(metric_dist(l2, one, zero) - 1.0) < 1e-12
         and abs(metric_dist(l2, lin, zero) - 1.0 / np.sqrt(3.0)) < 1e-3
@@ -124,7 +121,7 @@ def check_triangle_inequality():
     grid = trapezoid_grid(16)
     lp = LpMetric(grid, 1.5)
     for _ in range(200):
-        f, g, h = (FunctionSample(grid, rng.normal(size=16)) for _ in range(3))
+        f, g, h = (rng.normal(size=16) for _ in range(3))
         if metric_dist(lp, f, h) > metric_dist(lp, f, g) + metric_dist(lp, g, h) + 1e-12:
             return False
     return True
@@ -151,15 +148,15 @@ def sample_kernels(rng):
         return r.normal(size=2)
 
     def fn(r):
-        return FunctionSample(grid, r.normal(size=12))
+        return r.normal(size=12)
 
     def meas2(r):
         w = r.uniform(0.1, 1.0, size=3)
-        return DiscreteMeasure(Euclidean(2), tuple(r.normal(size=2) for _ in range(3)), w / w.sum())
+        return DiscreteMeasure(Euclidean(2), r.normal(size=(3, 2)), w / w.sum())
 
     def meas1(r):
         w = r.uniform(0.1, 1.0, size=3)
-        return DiscreteMeasure(Euclidean(1), tuple(r.normal(size=1) for _ in range(3)), w / w.sum())
+        return DiscreteMeasure(Euclidean(1), r.normal(size=(3, 1)), w / w.sum())
 
     return [
         ("radial_hilbert", K.make_radial_hilbert(phi, Euclidean(2)), eu2),
@@ -245,11 +242,9 @@ def separated_points(rng, gen, count, min_dist=0.1):
 
 
 def _point_dist(a, b):
-    if isinstance(a, FunctionSample):
-        return metric_dist(LpMetric(a.grid, 2.0), a, b)
     if isinstance(a, DiscreteMeasure):
-        stacked_a = np.sort(a.points_array().ravel())
-        stacked_b = np.sort(b.points_array().ravel())
+        stacked_a = np.sort(a.points.ravel())
+        stacked_b = np.sort(b.points.ravel())
         return float(np.max(np.abs(stacked_a - stacked_b))) if stacked_a.shape == stacked_b.shape else 1.0
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
@@ -290,8 +285,8 @@ def check_quantile_monge_matches_sorting():
         n = 5
         xs = np.sort(rng.normal(size=n))
         ys = np.sort(rng.normal(size=n))
-        mu = DiscreteMeasure(space, tuple(np.array([x]) for x in xs), np.full(n, 1.0 / n))
-        nu = DiscreteMeasure(space, tuple(np.array([y]) for y in ys), np.full(n, 1.0 / n))
+        mu = DiscreteMeasure(space, xs, np.full(n, 1.0 / n))
+        nu = DiscreteMeasure(space, ys, np.full(n, 1.0 / n))
         exact = K.quantile_sq_w2(mu, nu)
         sorted_w2 = float(np.mean((xs - ys) ** 2))
         if abs(exact - sorted_w2) > 1e-12:
@@ -440,8 +435,7 @@ def check_mmd_pseudometric():
 def check_permutation_determinism():
     rng = _rng()
     k = K.make_radial_hilbert(Gaussian(alpha=0.5), Euclidean(1))
-    xs = [rng.normal(size=1) for _ in range(6)]
-    ys = [rng.normal(size=1) for _ in range(6)]
+    xs, ys = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
     a = permutation_test(k, xs, ys, n_perm=49, seed=123)
     b = permutation_test(k, xs, ys, n_perm=49, seed=123)
     return a == b
@@ -450,8 +444,7 @@ def check_permutation_determinism():
 def check_permutation_separated_functions():
     grid = trapezoid_grid(8)
     k = K.make_radial_hilbert(Gaussian(alpha=0.5), FuncLp(grid, 2.0))
-    xs = [FunctionSample(grid, np.zeros(8)) for _ in range(20)]
-    ys = [FunctionSample(grid, np.ones(8)) for _ in range(20)]
+    xs, ys = np.zeros((20, 8)), np.ones((20, 8))
     res = permutation_test(k, xs, ys, n_perm=99, seed=1)
     return abs(res.p_value - 0.01) < 1e-12
 

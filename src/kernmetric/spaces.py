@@ -1,5 +1,9 @@
-"""Discretized input spaces: quadrature grids, L^p function samples,
-Euclidean points, metrics, and finitely supported signed measures."""
+"""Discretized input spaces: quadrature grids, Euclidean and L^p point spaces,
+metrics, and finitely supported signed measures.
+
+A point of Euclidean(d) is a row of d coordinates, and a point of
+FuncLp(grid) is the row of a function's values at the grid's nodes; a point
+set is an (n, d) array or a list of rows (``stack_points``)."""
 
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ from .errors import DomainError, ShapeError
 
 __all__ = [
     "QuadratureGrid",
-    "FunctionSample",
     "Euclidean",
     "FuncLp",
     "MeasurePoints",
@@ -23,6 +26,7 @@ __all__ = [
     "DiscreteMeasure",
     "trapezoid_grid",
     "stack_points",
+    "join_points",
     "metric_dist",
     "metric_dists",
     "reduce_diffs",
@@ -87,35 +91,6 @@ def trapezoid_grid(m: int, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
 
 
 @dataclass(frozen=True)
-class FunctionSample:
-    """An element of L^p(lambda) represented by its values on a grid."""
-
-    grid: QuadratureGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.nodes.shape:
-            raise ShapeError(
-                f"values length {values.shape} does not match grid ({len(self.grid)} nodes)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("function values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FunctionSample)
-            and self.grid == other.grid
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.grid, (self.values + 0.0).tobytes()))
-
-
-@dataclass(frozen=True)
 class Euclidean:
     dim: int
 
@@ -149,19 +124,18 @@ PointSpace = Union[Euclidean, FuncLp, MeasurePoints]
 
 
 def as_point(space: PointSpace, x):
-    """Validate one point (``stack_points``): a Euclidean point as its row, others as they are."""
-    row = stack_points(space, [x])[0]
-    return x if isinstance(space, FuncLp) else row
+    """One point, validated and stacked as by ``stack_points``: a row, or a measure."""
+    return stack_points(space, [x])[0]
 
 
 def stack_points(space: PointSpace, points):
     """Check that points belong to the space, and stack them as the kernels take them.
 
-    Returns an (n, d) array, the coordinates of n points in R^d or the values
-    of n function samples on a d-node grid, or, on a measure space, the tuple
-    of the n measures.  Euclidean points must be finite (function samples and
-    measures are checked when they are built).  Each distinct grid object of
-    the samples is compared with the space's grid once.
+    On Euclidean(d) and on FuncLp(grid), with d = len(grid), the points are rows
+    of d finite values, given as an (n, d) array or a list of rows; they are
+    returned as one (n, d) float array (on R^1, n scalars are n points).  On a
+    measure space they are returned as the tuple of the n measures, each a
+    DiscreteMeasure on the base space.
     """
     if isinstance(space, MeasurePoints):
         points = tuple(points)
@@ -169,58 +143,51 @@ def stack_points(space: PointSpace, points):
             if not (isinstance(x, DiscreteMeasure) and x.space == space.base):
                 raise ShapeError(f"point {type(x).__name__} does not belong to {space}")
         return points
-    if isinstance(space, FuncLp):
-        # grids found equal to space.grid, by id; held here, so that no id is reused
-        on_grid = {id(space.grid): space.grid}
-        values = []
-        for x in points:
-            if not (isinstance(x, FunctionSample)
-                    and (id(x.grid) in on_grid or x.grid == space.grid)):
-                raise ShapeError(f"point {type(x).__name__} does not belong to {space}")
-            on_grid[id(x.grid)] = x.grid
-            values.append(x.values)
-        return np.array(values).reshape(-1, len(space.grid))
-    if not isinstance(space, Euclidean):
+    if isinstance(space, Euclidean):
+        d = space.dim
+    elif isinstance(space, FuncLp):
+        d = len(space.grid)
+    else:
         raise ShapeError(f"{space} is not a point space")
     try:
         xs = np.asarray(points, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ShapeError(f"points do not stack into points of R^{space.dim}: {exc}") from exc
-    if xs.ndim == 1 and (space.dim == 1 or xs.size == 0):
-        xs = xs.reshape(-1, space.dim)
-    if xs.ndim != 2 or xs.shape[1] != space.dim:
-        raise ShapeError(f"expected points in R^{space.dim}, got shape {xs.shape[1:]}")
+        raise ShapeError(f"points do not stack into rows of {d} values: {exc}") from exc
+    if xs.ndim == 1 and (d == 1 or xs.size == 0):
+        xs = xs.reshape(-1, d)
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ShapeError(f"expected points of {d} values each, got shape {xs.shape[1:]}")
     if not np.all(np.isfinite(xs)):
-        raise DomainError("Euclidean points must be finite")
+        raise DomainError("points must be finite")
     return xs
+
+
+def join_points(xs, ys):
+    """The point set xs followed by ys, each as ``stack_points`` returns it."""
+    return xs + ys if isinstance(xs, tuple) else np.concatenate([xs, ys])
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported signed measure; duplicate support points allowed.
 
-    A Euclidean support is validated as one array, which ``points_array``
-    returns and whose rows are ``points``.  ``_mass_override``, when set, is
-    the exact total mass (see ``measure_difference``); it takes no part in
-    equality.
+    ``points`` holds the support as ``stack_points`` returns it: a read-only
+    (n, d) array on a Euclidean or function space, the tuple of the measures
+    on a measure space.  ``_mass_override``, when set, is the exact total mass
+    (see ``measure_difference``); it takes no part in equality.
     """
 
     space: PointSpace
-    points: tuple
+    points: Union[np.ndarray, tuple]
     weights: np.ndarray
     _mass_override: Optional[float] = field(default=None, compare=False, repr=False)
-    _rows: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.space, Euclidean):
+        points = stack_points(self.space, self.points)
+        if isinstance(points, np.ndarray):
             # copied, so that the measure shares no array with its caller
-            rows = stack_points(self.space, self.points).copy()
-            rows.setflags(write=False)
-            object.__setattr__(self, "_rows", rows)
-            points = tuple(rows)
-        else:
-            points = tuple(self.points)
-            stack_points(self.space, points)  # checks that each point belongs to the space
+            points = points.copy()
+            points.setflags(write=False)
         weights = np.asarray(self.weights, dtype=float)
         if len(points) < 1:
             raise DomainError("a measure needs at least one support point")
@@ -233,14 +200,12 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", weights)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DiscreteMeasure)
-            and self.space == other.space
-            and len(self.points) == len(other.points)
-            and all(np.array_equal(np.asarray(p), np.asarray(q)) if not isinstance(p, FunctionSample) else p == q
-                    for p, q in zip(self.points, other.points))
-            and np.array_equal(self.weights, other.weights)
-        )
+        if not (isinstance(other, DiscreteMeasure) and self.space == other.space
+                and np.array_equal(self.weights, other.weights)):
+            return False
+        if isinstance(self.points, tuple):
+            return self.points == other.points
+        return np.array_equal(self.points, other.points)
 
     def __hash__(self):
         return hash(measure_key(self))
@@ -263,18 +228,6 @@ class DiscreteMeasure:
     def is_zero_mass(self) -> bool:
         return abs(self.total_mass) <= 1e-12
 
-    def points_array(self) -> np.ndarray:
-        """Support as a read-only (n, d) array; Euclidean base only."""
-        if self._rows is None:
-            raise ShapeError("points_array is defined for Euclidean support only")
-        return self._rows
-
-    @property
-    def support(self):
-        """The support as kernels take it: ``points_array()`` on a Euclidean base,
-        so that it is not stacked again, else ``points``."""
-        return self.points if self._rows is None else self._rows
-
 
 def measure_key(m: DiscreteMeasure) -> bytes:
     """The bytes of a measure's weights and support points, for ordering arguments
@@ -286,15 +239,10 @@ def measure_key(m: DiscreteMeasure) -> bytes:
     Euclidean or function space mean equal weights and support.  A
     measure-valued support point contributes its own key.
     """
-    if isinstance(m.space, Euclidean):
-        return (m.weights + 0.0).tobytes() + (m.points_array() + 0.0).tobytes()
-    parts = [(m.weights + 0.0).tobytes()]
-    for p in m.points:
-        if isinstance(p, FunctionSample):
-            parts.append((p.values + 0.0).tobytes())
-        else:
-            parts.append(measure_key(p))
-    return b"".join(parts)
+    weights = (m.weights + 0.0).tobytes()
+    if isinstance(m.points, tuple):
+        return b"".join([weights, *map(measure_key, m.points)])
+    return weights + (m.points + 0.0).tobytes()
 
 
 def dirac(space: PointSpace, x) -> DiscreteMeasure:
@@ -311,7 +259,7 @@ class EuclideanMetric:
 
 @dataclass(frozen=True)
 class LpMetric:
-    """L^p metric on function samples; restricted to 1 < p <= 2.
+    """L^p metric on functions given by their values on the grid; restricted to 1 < p <= 2.
 
     Separable L^p with 1 < p <= 2 is of strong negative type, which is
     what the metric-based kernel constructions require; other exponents
@@ -387,7 +335,7 @@ def measure_difference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeas
         raise ShapeError("measures live on different spaces")
     return DiscreteMeasure(
         mu.space,
-        mu.points + nu.points,
+        join_points(mu.points, nu.points),
         np.concatenate([mu.weights, -nu.weights]),
         _mass_override=mu.total_mass - nu.total_mass,
     )

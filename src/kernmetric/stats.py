@@ -15,6 +15,7 @@ from .kernels import KernelSpec, _base_gram
 from .spaces import (
     DiscreteMeasure,
     MetricSpec,
+    join_points,
     measure_difference,
     measure_key,
     metric_dists,
@@ -103,8 +104,8 @@ def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray
     xs = xs if isinstance(xs, np.ndarray) else list(xs)
     # summed atom by atom, so that each outcome's score has the same bits
     # whatever the other outcomes are
-    cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.support, xs)))
-    atoms, outcomes = _self_values(k, p.support, xs)
+    cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.points, xs)))
+    atoms, outcomes = _self_values(k, p.points, xs)
     val = -cross + 0.5 * kme_sq_norm(k, p) + 0.5 * outcomes
     check_roundoff(val, _roundoff_tol(atoms, outcomes), "kernel score")
     return np.where(val < 0, 0.0, val)
@@ -114,13 +115,13 @@ def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> flo
     """Expected kernel score of forecast q under outcome distribution p."""
     _require_probability(q, "forecast")
     _require_probability(p, "outcome distribution")
-    return float(p.weights @ kernel_scores(k, q, p.support))
+    return float(p.weights @ kernel_scores(k, q, p.points))
 
 
 def divergence(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Score divergence d(P, Q) = S(Q, P) - S(P, P); equals half the squared MMD."""
     val = expected_score(k, q, p) - expected_score(k, p, p)
-    check_roundoff(val, _roundoff_tol(*_self_values(k, p.support, q.support)), "divergence")
+    check_roundoff(val, _roundoff_tol(*_self_values(k, p.points, q.points)), "divergence")
     return 0.0 if val < 0 else val
 
 
@@ -134,14 +135,19 @@ def _u_statistic_from_gram(g: np.ndarray, n: int, m: int) -> float:
     return float(sxx + syy - sxy)
 
 
+def _pooled(k: KernelSpec, xs, ys):
+    """The sizes of two samples of the kernel's points, each at least 2, and the
+    pooled sample, xs then ys, as ``stack_points`` returns it."""
+    xs, ys = stack_points(k.space, xs), stack_points(k.space, ys)
+    if len(xs) < 2 or len(ys) < 2:
+        raise DomainError("both samples need at least 2 points")
+    return len(xs), len(ys), join_points(xs, ys)
+
+
 def mmd_u_statistic(k: KernelSpec, xs: Sequence, ys: Sequence) -> float:
     """Unbiased estimator of the squared MMD between two samples."""
-    xs, ys = list(xs), list(ys)
-    n, m = len(xs), len(ys)
-    if n < 2 or m < 2:
-        raise DomainError("both samples need at least 2 points")
-    g = _base_gram(k, xs + ys)
-    return _u_statistic_from_gram(g, n, m)
+    n, m, pooled = _pooled(k, xs, ys)
+    return _u_statistic_from_gram(_base_gram(k, pooled), n, m)
 
 
 #: permutation replicates evaluated together, as the rows of one label matrix
@@ -248,10 +254,7 @@ def permutation_test(
     observed statistic is, so that near-ties are decided by the same
     arithmetic on both sides.
     """
-    xs, ys = list(xs), list(ys)
-    n, m = len(xs), len(ys)
-    if n < 2 or m < 2:
-        raise DomainError("both samples need at least 2 points")
+    n, m, pooled = _pooled(k, xs, ys)
     if n_perm < 1:
         raise DomainError("n_perm must be positive")
     try:
@@ -260,7 +263,7 @@ def permutation_test(
         raise DomainError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    g = _base_gram(k, xs + ys)
+    g = _base_gram(k, pooled)
     observed = _u_statistic_from_gram(g, n, m)
     size = n + m
     # a sum of K <= size^2 terms of size <= max|g| is off by at most
@@ -290,7 +293,7 @@ def energy_distance(metric: MetricSpec, p: DiscreteMeasure, q: DiscreteMeasure) 
         raise ShapeError("measures do not live on the metric's space")
 
     def form(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-        dists = metric_dists(metric, stack_points(space, a.support), stack_points(space, b.support))
+        dists = metric_dists(metric, a.points, b.points)
         return float(a.weights @ (dists @ b.weights))
 
     val = 2.0 * form(p, q) - form(p, p) - form(q, q)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernmetric import DiscreteMeasure, Euclidean, FunctionSample, trapezoid_grid
+from kernmetric import DiscreteMeasure, Euclidean, trapezoid_grid
 
 
 @pytest.fixture
@@ -24,4 +24,4 @@ def random_signed_measure(rng, dim=2, atoms=3, scale=1.0):
 
 
 def random_function(rng, grid):
-    return FunctionSample(grid, rng.normal(size=len(grid)))
+    return rng.normal(size=len(grid))

@@ -19,7 +19,6 @@ from kernmetric import (
     Euclidean,
     EuclideanMetric,
     FuncLp,
-    FunctionSample,
     Gaussian,
     InjectivityError,
     KernmetricError,
@@ -221,8 +220,7 @@ def test_criterion_09_permutation_calibration():
     grid = trapezoid_grid(12)
     base = make_radial_hilbert(Gaussian(alpha=50.0), E1)
     kf = make_lp_operator(PHI, base, grid, 1.5)
-    zeros = [FunctionSample(grid, np.zeros(12)) for _ in range(20)]
-    ones = [FunctionSample(grid, np.ones(12)) for _ in range(20)]
+    zeros, ones = np.zeros((20, 12)), np.ones((20, 12))
     sep = permutation_test(kf, zeros, ones, n_perm=99, seed=1)
     ok = ok and sep.p_value == pytest.approx(0.01, abs=1e-15)
     _report(9, f"permutation calibration (null rate {rate:.3f})", ok)

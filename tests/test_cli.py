@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernmetric import (DomainError, Euclidean, FuncLp, Gaussian, gram, make_radial_hilbert,
-                        selfcheck, trapezoid_grid)
+from kernmetric import (DomainError, Euclidean, FuncLp, Gaussian, QuadratureGrid, gram,
+                        make_radial_hilbert, selfcheck, trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
 from kernmetric.io import (
     ParseError,
@@ -139,6 +139,53 @@ def test_cli_gram_nonexistent_file(tmp_path, kernel_file):
          "--out", str(tmp_path / "g.csv")]
     )
     assert code == 2
+
+
+def test_cli_gram_empty_function_file_is_usage_error(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(str(grid), trapezoid_grid(4))
+    out = tmp_path / "g.csv"
+    for text in ("", "\n \n"):
+        points = write(tmp_path / "f.csv", text)
+        assert main(["gram", "--grid", str(grid), "--points", points, "--out", str(out)]) == 2
+        assert "empty file" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _kernel_spec(space):
+    return {"space": space, "rule": {"kind": "radial_hilbert"},
+            "phi": {"family": "gaussian", "alpha": 0.5}}
+
+
+@pytest.mark.parametrize("case", ["function_rows_euclidean_kernel",
+                                  "points_function_kernel", "scenario_on_another_grid"])
+def test_cli_kernel_must_take_the_data_points(tmp_path, capsys, case):
+    """A row of m values is a point of R^m or of L^p on an m-node grid; the CLI reads
+    it as the data's kind and refuses a kernel on the other kind, or on another grid."""
+    m = 4
+    grid = tmp_path / "grid.csv"
+    nodes, weights = [0.0, 0.2, 0.7, 1.0], [0.1, 0.35, 0.4, 0.15]
+    write_grid_csv(str(grid), QuadratureGrid(np.array(nodes), np.array(weights), (0.0, 1.0)))
+    rows = "".join(",".join(fmt(v) for v in row) + "\n"
+                   for row in np.random.default_rng(0).normal(size=(5, m)))
+    if case == "function_rows_euclidean_kernel":
+        spec = _kernel_spec({"kind": "euclidean", "dim": m})
+        argv = ["gram", "--grid", str(grid), "--points", write(tmp_path / "f.csv", rows)]
+    elif case == "points_function_kernel":
+        spec = _kernel_spec({"kind": "func_lp", "grid": {"nodes": nodes, "weights": weights}})
+        header = ",".join(f"x{i + 1}" for i in range(m)) + "\n"
+        argv = ["gram", "--points", write(tmp_path / "p.csv", header + rows)]
+    else:
+        spec = _kernel_spec({"kind": "func_lp"})
+        scenario = write(tmp_path / "s.json", json.dumps(
+            {"kind": "function_mean_shift", "grid_m": m, "n": 3, "m": 3, "shifts": [0.0]}))
+        argv = ["power", "--grid", str(grid), "--scenario", scenario, "--trials", "1",
+                "--perms", "9"]
+    kernel = write(tmp_path / "kernel.json", json.dumps(spec))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--kernel", kernel, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +414,31 @@ def test_cli_power_csv(tmp_path, kernel_file):
     assert big_rate >= 0.9
 
 
+def test_cli_power_noise_scales_euclidean_draws(tmp_path):
+    # without noise every draw is its scenario mean, so a shift of 0.5 is always found
+    scenario = write(tmp_path / "s.json", json.dumps(
+        {"kind": "euclidean_mean_shift", "dim": 2, "n": 10, "m": 10, "shifts": [0, 0.5],
+         "noise": 0}))
+    out = tmp_path / "power.csv"
+    assert main(["power", "--scenario", scenario, "--trials", "20", "--perms", "49",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0,0,20,0", "0.5,1,20,0"]
+
+
 @pytest.mark.parametrize("space", [Euclidean(3), FuncLp(trapezoid_grid(6))],
                          ids=["euclidean", "function"])
 @pytest.mark.parametrize("noise", [1.0, 0.3, 0.0])
 def test_scenario_samples_equal_per_sample_draws(space, noise):
-    """One draw per sample set gives the bits of one draw per sample."""
+    """One draw per sample set gives the bits of one draw per sample, the noise
+    scaling the draws of both kinds of scenario."""
+    d = 3 if isinstance(space, Euclidean) else 6
     for seed in range(5):
         xs, ys = _scenario_samples(space, 4, 3, noise, 0.5, np.random.default_rng(seed))
+        assert xs.shape == (4, d) and ys.shape == (3, d)
         rng = np.random.default_rng(seed)
-        if isinstance(space, Euclidean):
-            want = ([rng.normal(size=3) for _ in range(4)],
-                    [rng.normal(size=3) + 0.5 for _ in range(3)])
-        else:
-            want = ([rng.normal(scale=noise, size=6) for _ in range(4)],
-                    [0.5 + rng.normal(scale=noise, size=6) for _ in range(3)])
-            xs, ys = [f.values for f in xs], [f.values for f in ys]
-        assert [a.tobytes() for a in xs + ys] == [a.tobytes() for a in want[0] + want[1]]
+        want = ([rng.normal(scale=noise, size=d) for _ in range(4)],
+                [0.5 + rng.normal(scale=noise, size=d) for _ in range(3)])
+        assert [a.tobytes() for a in (*xs, *ys)] == [a.tobytes() for a in want[0] + want[1]]
 
 
 def test_cli_power_config_values_are_typed_like_flags(tmp_path, kernel_file):

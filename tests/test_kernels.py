@@ -14,11 +14,11 @@ from kernmetric import (
     EuclideanMetric,
     ExpSqrt,
     FuncLp,
-    FunctionSample,
     Gaussian,
     InjectivityError,
     LinearGridMap,
     LpMetric,
+    MeasurePoints,
     ProfileClassError,
     ShapeError,
     check_lp_nondegeneracy,
@@ -39,6 +39,7 @@ from kernmetric import (
 )
 
 from kernmetric.kernels import _quantile_breaks, _quantile_sq_dists
+from kernmetric.selfcheck import sample_kernels
 
 from conftest import random_function, random_prob_measure
 
@@ -118,7 +119,7 @@ def test_lp_operator_constant_shift_matches_double_loop(grid, base_kernel, rng):
     k = make_lp_operator(PHI, base_kernel, grid, 1.5)
     c = 0.7
     f = random_function(rng, grid)
-    g = FunctionSample(grid, f.values - c)
+    g = f - c
     # brute-force double quadrature sum oracle
     q = 0.0
     for i, (xi, wi) in enumerate(zip(grid.nodes, grid.weights)):
@@ -130,7 +131,7 @@ def test_lp_operator_constant_shift_matches_double_loop(grid, base_kernel, rng):
 def test_lp_operator_random_pair_matches_double_loop(grid, base_kernel, rng):
     k = make_lp_operator(PHI, base_kernel, grid, 2.5)
     f, g = random_function(rng, grid), random_function(rng, grid)
-    h = f.values - g.values
+    h = f - g
     q = 0.0
     for i, (xi, wi) in enumerate(zip(grid.nodes, grid.weights)):
         for j, (xj, wj) in enumerate(zip(grid.nodes, grid.weights)):
@@ -267,7 +268,7 @@ def test_kme_measure_matches_double_loop(rng):
     for _ in range(10):
         mu, nu = random_prob_measure(rng), random_prob_measure(rng)
         naive = 0.0
-        pts = mu.points + nu.points
+        pts = np.concatenate([mu.points, nu.points])
         w = np.concatenate([mu.weights, -nu.weights])
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
@@ -301,7 +302,7 @@ def test_fourier_measure_matches_trig_oracle(rng):
     for _ in range(10):
         mu = random_prob_measure(rng, dim=1, atoms=5)
         nu = random_prob_measure(rng, dim=1, atoms=5)
-        pts = np.concatenate([mu.points_array(), nu.points_array()]).ravel()
+        pts = np.concatenate([mu.points, nu.points]).ravel()
         a = np.concatenate([mu.weights, -nu.weights])
         arg = 0.0
         for s, ws in zip(freqs.ravel(), fw):
@@ -447,8 +448,8 @@ def test_quantile_monge_unequal_weights(rng):
     us = (np.arange(200000) + 0.5) / 200000
 
     def quantile(m, u):
-        xs = np.sort(m.points_array().ravel())
-        order = np.argsort(m.points_array().ravel())
+        xs = np.sort(m.points.ravel())
+        order = np.argsort(m.points.ravel())
         cum = np.cumsum(m.weights[order])
         return xs[np.searchsorted(cum, u, side="left")]
 
@@ -478,7 +479,7 @@ def _kernels():
         ("metric_phi_lp", make_metric_phi(PHI, LpMetric(grid, 1.5)), gen_f),
         ("distance_euclidean", make_distance_kernel(EuclideanMetric(3), np.ones(3)), gen_e3),
         ("distance_lp", make_distance_kernel(
-            LpMetric(grid, 1.5), FunctionSample(grid, np.zeros(9))), gen_f),
+            LpMetric(grid, 1.5), np.zeros(9)), gen_f),
         ("mixture", make_mixture([(make_radial_hilbert(PHI, e3), 0.3),
                                   (make_metric_phi(Gaussian(2.0), EuclideanMetric(3)), 0.7)]),
          gen_e3),
@@ -523,6 +524,20 @@ def test_kernels_pickle(k, gen):
     pts = [gen(rng) for _ in range(4)]
     np.testing.assert_array_equal(gram(pickle.loads(pickle.dumps(k)), pts).entries,
                                   gram(k, pts).entries)
+
+
+_ROW_RULES = [(name, k, gen) for name, k, gen in sample_kernels(np.random.default_rng(0))
+              if not isinstance(k.space, MeasurePoints)]
+
+
+@pytest.mark.parametrize("k,gen", [pytest.param(k, gen, id=name) for name, k, gen in _ROW_RULES])
+def test_pairwise_on_an_array_equals_pairwise_on_its_rows(k, gen):
+    rng = np.random.default_rng(8)
+    xs = np.array([gen(rng) for _ in range(7)])
+    ys = np.array([gen(rng) for _ in range(3)])
+    for a, b in ((xs, xs), (xs, ys)):
+        assert k.pairwise(a, b).tobytes() == k.pairwise(list(a), list(b)).tobytes()
+    assert gram(k, xs).entries.tobytes() == gram(k, list(xs)).entries.tobytes()
 
 
 def test_batched_gram_rejects_non_finite_points():

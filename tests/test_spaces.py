@@ -11,7 +11,6 @@ from kernmetric import (
     Euclidean,
     EuclideanMetric,
     FuncLp,
-    FunctionSample,
     LpMetric,
     MeasurePoints,
     QuadratureGrid,
@@ -54,42 +53,41 @@ def test_grid_rejects_non_finite(nodes, weights):
 
 
 def test_stack_points_checks_every_function_sample():
-    g, h = trapezoid_grid(8), trapezoid_grid(9)
-    space = FuncLp(g)
-    f_g = FunctionSample(g, np.arange(8.0))
-    f_h = FunctionSample(h, np.arange(9.0))
-    for bad in (f_h, np.arange(8.0)):
-        with pytest.raises(ShapeError) as stacked:
-            stack_points(space, [f_g, f_g, bad])
-        with pytest.raises(ShapeError) as single:
+    space = FuncLp(trapezoid_grid(8))
+    f = np.arange(8.0)
+    for bad, error in ((np.arange(9.0), ShapeError), (np.full(8, np.nan), DomainError),
+                       (np.array([0.0] * 7 + [np.inf]), DomainError)):
+        with pytest.raises(error):
+            stack_points(space, [f, f, bad])
+        with pytest.raises(error):
             as_point(space, bad)
-        assert str(stacked.value) == str(single.value)
+    np.testing.assert_array_equal(stack_points(space, [f, -f]), [f, -f])
+    np.testing.assert_array_equal(as_point(space, f), f)
 
 
 def test_stack_points_accepts_an_equal_grid_object():
+    # a point of L^p is its row of values; the grid is the space's, so a measure on
+    # an equal grid object belongs to the measure space over the grid
     g, same = trapezoid_grid(8), trapezoid_grid(8)
     assert same is not g
-    samples = [FunctionSample(g, np.arange(8.0)), FunctionSample(same, -np.arange(8.0))]
-    np.testing.assert_array_equal(stack_points(FuncLp(g), samples),
-                                  [np.arange(8.0), -np.arange(8.0)])
+    mu = DiscreteMeasure(FuncLp(same), [np.arange(8.0), -np.arange(8.0)], np.array([0.5, 0.5]))
+    assert stack_points(MeasurePoints(FuncLp(g)), [mu]) == (mu,)
+    np.testing.assert_array_equal(mu.points, [np.arange(8.0), -np.arange(8.0)])
 
 
 def test_sq_dist_examples():
     grid = trapezoid_grid(1001)
     m = LpMetric(grid, 2.0)
-    f = FunctionSample(grid, np.ones(1001))
-    g = FunctionSample(grid, np.zeros(1001))
-    lin = FunctionSample(grid, grid.nodes)
+    f, g, lin = np.ones(1001), np.zeros(1001), grid.nodes
     assert metric_dist(m, f, f) == 0.0
     assert metric_dist(m, f, g) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert metric_dist(m, lin, g) ** 2 == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_sq_dist_grid_mismatch():
-    f = FunctionSample(trapezoid_grid(5), np.zeros(5))
-    g = FunctionSample(trapezoid_grid(6), np.zeros(6))
+    f, g = np.zeros(5), np.zeros(6)
     with pytest.raises(ShapeError):
-        metric_dist(LpMetric(f.grid, 2.0), f, g)
+        metric_dist(LpMetric(trapezoid_grid(5), 2.0), f, g)
 
 
 def test_euclidean_metric_345():
@@ -101,7 +99,7 @@ def test_lp_metric_p2_is_sqrt_sq_dist(rng):
     grid = trapezoid_grid(21)
     m = LpMetric(grid, 2.0)
     f, g = random_function(rng, grid), random_function(rng, grid)
-    d = f.values - g.values
+    d = f - g
     assert metric_dist(m, f, g) == pytest.approx(math.sqrt(np.sum(grid.weights * d * d)),
                                                  rel=1e-12)
 
@@ -109,9 +107,7 @@ def test_lp_metric_p2_is_sqrt_sq_dist(rng):
 def test_lp_metric_p15_on_indicator():
     grid = trapezoid_grid(101)
     m = LpMetric(grid, 1.5)
-    f = FunctionSample(grid, np.ones(101))
-    g = FunctionSample(grid, np.zeros(101))
-    assert metric_dist(m, f, g) == pytest.approx(1.0, abs=1e-12)
+    assert metric_dist(m, np.ones(101), np.zeros(101)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_metric_exponent_whitelist():
@@ -163,6 +159,17 @@ def test_measure_difference_examples():
     assert abs(d.total_mass) <= 1e-15
 
 
+@pytest.mark.parametrize("space", [Euclidean(2), FuncLp(trapezoid_grid(2))],
+                         ids=["euclidean", "function"])
+def test_measure_difference_concatenates_array_supports(space):
+    mu = DiscreteMeasure(space, np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0.25, 0.75]))
+    nu = DiscreteMeasure(space, np.array([[4.0, 5.0], [6.0, 7.0]]), np.array([0.5, 0.5]))
+    d = measure_difference(mu, nu)
+    np.testing.assert_array_equal(d.points, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+    np.testing.assert_array_equal(d.weights, [0.25, 0.75, -0.5, -0.5])
+    assert d.space == space
+
+
 def test_measure_difference_space_mismatch():
     mu = dirac(Euclidean(1), np.array([0.0]))
     nu = dirac(Euclidean(2), np.array([0.0, 0.0]))
@@ -211,10 +218,14 @@ def test_equal_samples_and_grids_hash_alike_across_signed_zeros():
     grid = QuadratureGrid(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]))
     twin = QuadratureGrid(np.array([-0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]))
     assert twin == grid and hash(twin) == hash(grid)
-    f = FunctionSample(grid, [0.0, 1.0, 2.0])
-    g = FunctionSample(twin, [-0.0, 1.0, 2.0])
+    # measures on sampled functions, equal but for the sign of a zero value
+    w = np.array([0.5, 0.5])
+    f = DiscreteMeasure(FuncLp(grid), [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], w)
+    g = DiscreteMeasure(FuncLp(twin), [[-0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], w)
+    h = DiscreteMeasure(FuncLp(grid), [[0.0, 1.0, 2.0], [3.0, 4.0, 6.0]], w)
     assert f == g and hash(f) == hash(g)
-    assert len({f, g}) == 1
+    assert f != h and hash(f) != hash(h)
+    assert len({f, g, h}) == 2
 
 
 @pytest.mark.parametrize("points,dim,error", [
@@ -238,15 +249,15 @@ def test_measure_support_as_scalars_or_rows():
     scalars = DiscreteMeasure(space, (0.5, 2.0), w)
     rows = DiscreteMeasure(space, (np.array([0.5]), np.array([2.0])), w)
     assert scalars == rows
-    np.testing.assert_array_equal(scalars.points_array(), [[0.5], [2.0]])
-    assert all(p.shape == (1,) for p in scalars.points)
+    np.testing.assert_array_equal(scalars.points, [[0.5], [2.0]])
+    assert scalars.points.shape == (2, 1)
 
 
 def test_measure_support_is_a_read_only_copy():
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     mu = DiscreteMeasure(Euclidean(2), pts, np.array([0.5, 0.5]))
     pts[0, 0] = 9.0
-    np.testing.assert_array_equal(mu.points_array(), [[0.0, 1.0], [2.0, 3.0]])
+    np.testing.assert_array_equal(mu.points, [[0.0, 1.0], [2.0, 3.0]])
     with pytest.raises(ValueError):
         mu.points[0][0] = 9.0
 

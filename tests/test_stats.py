@@ -9,7 +9,6 @@ from kernmetric import (
     Euclidean,
     EuclideanMetric,
     FuncLp,
-    FunctionSample,
     Gaussian,
     dirac,
     divergence,
@@ -262,8 +261,7 @@ def test_permutation_separated_functions():
     grid = trapezoid_grid(12)
     base = make_radial_hilbert(Gaussian(alpha=50.0), E1)
     k = make_lp_operator(PHI, base, grid, 1.5)
-    zeros = [FunctionSample(grid, np.zeros(12)) for _ in range(20)]
-    ones = [FunctionSample(grid, np.ones(12)) for _ in range(20)]
+    zeros, ones = np.zeros((20, 12)), np.ones((20, 12))
     res = permutation_test(k, zeros, ones, n_perm=99, seed=1)
     assert res.p_value == pytest.approx(0.01, abs=1e-15)
 
@@ -274,7 +272,7 @@ def _null_setup(rule):
         grid = trapezoid_grid(12)
         base = make_radial_hilbert(Gaussian(alpha=50.0), E1)
         return (make_lp_operator(PHI, base, grid, 1.5),
-                lambda rng: FunctionSample(grid, rng.normal(size=12)))
+                lambda rng: rng.normal(size=12))
     return (make_quantile_monge(PHI, trapezoid_grid(8, 0.0, 1.0)),
             lambda rng: DiscreteMeasure(E1, tuple(np.array([v]) for v in rng.normal(size=3)),
                                         np.full(3, 1.0 / 3.0)))
