@@ -39,18 +39,16 @@ def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
 
     The analytic value ``sum_ij w_i w_j k(z_i, z_j)`` is nonnegative for any
     positive definite kernel; roundoff can make the double sum slightly
-    negative, so values within ``-1e-10 * (sum |w|)^2 * scale`` are clamped
-    to 0, where ``scale`` is phi(0) for profile-based kernels.
+    negative, so values within ``-1e-10 * (sum |w|)^2 * s`` are clamped to 0,
+    where ``s`` is the largest k(z, z) over the support (phi(0) for a profile
+    kernel), which bounds every |k(z_i, z_j)|.
     """
     if mu.space != k.space:
         raise ShapeError("measure does not live on the kernel's space")
     g = _base_gram(k, mu.points)
     w = mu.weights
     val = float(w @ (g @ w))
-    scale = k.diag_value
-    if scale is None:
-        scale = max(1.0, float(np.max(np.abs(g))))
-    tol = 1e-10 * float(np.sum(np.abs(w))) ** 2 * scale
+    tol = 1e-10 * float(np.sum(np.abs(w))) ** 2 * float(np.max(np.diag(g)))
     check_roundoff(val, tol, "quadratic form")
     # symmetric clamp: |val| <= tol collapses to exactly 0, so the norm of
     # mu - mu is 0 and square roots downstream are safe

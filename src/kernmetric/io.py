@@ -90,7 +90,8 @@ def _table(path: str, header: Optional[Callable[[List[str]], None]] = None):
     ``header``, when given, checks the stripped cells of the first row (an empty
     list for an empty file) before any data row is read.  Every data row must
     have as many cells as the header, or, without one, as the first row; lines
-    are numbered without the blank ones.
+    are numbered without the blank ones.  A file without a data row raises
+    ParseError.
     """
     rows = _read_csv(path)
     cells = []
@@ -104,6 +105,8 @@ def _table(path: str, header: Optional[Callable[[List[str]], None]] = None):
         if len(row) != width:
             raise ParseError(f"{path}:{lineno}: row has {len(row)} columns, expected {width}")
         data.append(_floats(path, lineno, row))
+    if not data:
+        raise ParseError(f"{path}: no data rows")
     return cells, np.asarray(data, dtype=float)
 
 
@@ -126,8 +129,6 @@ def read_grid_csv(path: str) -> QuadratureGrid:
             raise ParseError(f"{path}:1: expected header 'node,weight'")
 
     _, arr = _table(path, check)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ParseError(f"{path}: each row needs exactly two columns")
     nodes, weights = arr[:, 0], arr[:, 1]
     return QuadratureGrid(nodes, weights, (float(nodes[0]), float(nodes[-1])))
 
@@ -142,8 +143,6 @@ def read_function_csv(path: str, grid: QuadratureGrid) -> np.ndarray:
     """Function data CSV: one row per function, its values at the grid's m nodes, no
     header; returns the (n, m) array of the rows (``stack_points``)."""
     _, arr = _table(path)
-    if arr.size == 0:
-        raise ParseError(f"{path}: empty file")
     if arr.shape[1] != len(grid):
         raise ShapeError(f"{path}:1: row has {arr.shape[1]} columns, grid has {len(grid)} nodes")
     return stack_points(FuncLp(grid), arr)
@@ -151,18 +150,13 @@ def read_function_csv(path: str, grid: QuadratureGrid) -> np.ndarray:
 
 def read_points_csv(path: str) -> np.ndarray:
     """Euclidean points CSV: header 'x1,...,xd', one row per point."""
-    header, arr = _table(path, _coordinate_header(path, []))
-    if arr.ndim != 2 or arr.shape[1] != len(header):
-        raise ParseError(f"{path}: inconsistent column count")
-    return arr
+    return _table(path, _coordinate_header(path, []))[1]
 
 
 def read_measure_csv(path: str) -> DiscreteMeasure:
     """Measure CSV: header 'x1,...,xd,weight', one row per atom."""
     header, arr = _table(path, _coordinate_header(path, ["weight"]))
     d = len(header) - 1
-    if arr.ndim != 2 or arr.shape[1] != d + 1:
-        raise ParseError(f"{path}: inconsistent column count")
     return DiscreteMeasure(Euclidean(d), arr[:, :d], arr[:, d])
 
 

@@ -8,6 +8,8 @@ ys)`` evaluates the whole cross block of two point lists with array
 operations, and a scalar ``k(x, y)`` is its 1 x 1 block.  ``pairwise``
 checks and stacks each list once and rejects a block that is not finite; the
 rules compute only ``_block`` from the stacked points (``stack_points``).
+``k.diag(xs)`` evaluates k(x, x) at every point the same way, through the
+rule's ``_diag``.
 
 Seven rules are a completely monotone profile of a negative-type argument,
 k(x, y) = phi(arg(x, y)), and one class evaluates them all from the
@@ -53,7 +55,6 @@ from .spaces import (
     MetricSpec,
     PointSpace,
     QuadratureGrid,
-    as_point,
     measure_key,
     metric_dists,
     reduce_diffs,
@@ -86,8 +87,6 @@ class KernelSpec:
     """Base class: a symmetric positive definite evaluation rule."""
 
     space: PointSpace
-    #: value of k(x, x) where constant (phi(0)); None for distance kernels
-    diag_value: Optional[float] = None
 
     def __call__(self, x, y) -> float:
         raise NotImplementedError
@@ -96,18 +95,31 @@ class KernelSpec:
         """Cross block ``[[k(x, y) for y in ys] for x in xs]``; each list is checked and
         stacked once (once in all when ys is xs, as in every Gram matrix), and an
         entry that is not finite raises DomainError, so that no statistic is NaN."""
-        block = self._block(*_rows_pair(partial(stack_points, self.space), xs, ys))
-        if not np.all(np.isfinite(block)):
-            raise DomainError(OVERFLOW)
-        return block
+        return _finite(self._block(*_rows_pair(partial(stack_points, self.space), xs, ys)))
+
+    def diag(self, xs) -> np.ndarray:
+        """The diagonal ``[k(x, x) for x in xs]``; xs is checked and stacked once, and an
+        entry that is not finite raises DomainError, as in ``pairwise``."""
+        return _finite(self._diag(stack_points(self.space, xs)))
 
     def _block(self, xs, ys) -> np.ndarray:
         """The cross block of two stacked point lists (``stack_points``)."""
         raise NotImplementedError
 
+    def _diag(self, xs) -> np.ndarray:
+        """The diagonal of ``_block(xs, xs)``, bit for bit, for a stacked point list."""
+        raise NotImplementedError
+
     def _one(self, x, y) -> float:
         """k(x, y) as the 1 x 1 block of ``pairwise``."""
         return float(self.pairwise([x], [y])[0, 0])
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, or DomainError where one is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(OVERFLOW)
+    return values
 
 
 def _require_strict(phi: PhiProfile):
@@ -239,15 +251,15 @@ class _ProfileKernel(KernelSpec):
     def __post_init__(self):
         _require_strict(self.phi)
 
-    @property
-    def diag_value(self):
-        return self.phi(0.0)
-
     def __call__(self, x, y) -> float:
         return self._one(x, y)
 
     def _block(self, xs, ys) -> np.ndarray:
         return self.phi(self.arg(xs, ys))
+
+    def _diag(self, xs) -> np.ndarray:
+        # arg(x, x) is exactly 0
+        return np.full(len(xs), self.phi(0.0))
 
 
 class _KmeMeasure(_ProfileKernel):
@@ -260,18 +272,22 @@ class _KmeMeasure(_ProfileKernel):
 
 @dataclass(frozen=True)
 class _DistanceKernel(KernelSpec):
-    """k(x, y) = rho(x, z0) + rho(y, z0) - rho(x, y)."""
+    """k(x, y) = rho(x, z0) + rho(y, z0) - rho(x, y), with z0 stacked as a (1, d) array."""
 
     metric: MetricSpec
-    z0: object
+    z0: np.ndarray
     space: PointSpace
 
     def __call__(self, x, y) -> float:
         return self._one(x, y)
 
     def _block(self, xs, ys) -> np.ndarray:
-        z0, rho = stack_points(self.space, [self.z0]), partial(metric_dists, self.metric)
-        return rho(xs, z0) + rho(z0, ys) - rho(xs, ys)
+        rho = partial(metric_dists, self.metric)
+        return rho(xs, self.z0) + rho(self.z0, ys) - rho(xs, ys)
+
+    def _diag(self, xs) -> np.ndarray:
+        # rho(x, x) is exactly 0 and rho(x, z0) + rho(z0, x) exactly 2 rho(x, z0)
+        return 2.0 * metric_dists(self.metric, xs, self.z0)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -279,18 +295,14 @@ class _Mixture(KernelSpec):
     components: tuple  # of (KernelSpec, weight)
     space: PointSpace
 
-    @property
-    def diag_value(self):
-        vals = [k.diag_value for k, _ in self.components]
-        if any(v is None for v in vals):
-            return None
-        return float(sum(w * v for (_, w), v in zip(self.components, vals)))
-
     def __call__(self, x, y) -> float:
         return self._one(x, y)
 
     def _block(self, xs, ys) -> np.ndarray:
         return sum(w * k._block(xs, ys) for k, w in self.components)
+
+    def _diag(self, xs) -> np.ndarray:
+        return sum(w * k._diag(xs) for k, w in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +389,7 @@ def make_metric_phi(phi: PhiProfile, metric: MetricSpec) -> KernelSpec:
 def make_distance_kernel(metric: MetricSpec, z0) -> KernelSpec:
     """Distance kernel k(x, y) = rho(x, z0) + rho(y, z0) - rho(x, y)."""
     space = metric.space()
-    z0 = as_point(space, z0)
-    return _DistanceKernel(metric, z0, space)
+    return _DistanceKernel(metric, stack_points(space, [z0]), space)
 
 
 def make_mixture(components: Sequence[Tuple[KernelSpec, float]]) -> KernelSpec:

@@ -187,22 +187,23 @@ def check_kernel_diagonal():
     for name, k, gen in sample_kernels(rng):
         x = gen(rng)
         if name == "distance":
-            expected = 2.0 * metric_dist(k.metric, x, k.z0)
+            expected = 2.0 * metric_dist(k.metric, x, k.z0[0])
+        elif name == "mixture":
+            expected = sum(w * c.phi(0.0) for c, w in k.components)
         else:
-            expected = k.diag_value
-        if abs(k(x, x) - expected) > 1e-12:
+            expected = k.phi(0.0)
+        if abs(k(x, x) - expected) > 1e-12 or k.diag([x])[0] != k(x, x):
             return False
     return True
 
 
 def check_kernel_boundedness():
+    # Cauchy-Schwarz in the RKHS: |k(x, y)| <= sqrt(k(x, x) k(y, y))
     rng = _rng()
-    for name, k, gen in sample_kernels(rng):
-        if name == "distance":
-            continue
-        bound = k.diag_value
+    for _, k, gen in sample_kernels(rng):
         for _ in range(30):
-            if abs(k(gen(rng), gen(rng))) > bound + 1e-12:
+            x, y = gen(rng), gen(rng)
+            if abs(k(x, y)) > np.sqrt(np.prod(k.diag([x, y]))) + 1e-12:
                 return False
     return True
 
@@ -219,12 +220,11 @@ def check_gram_psd():
 
 def check_gram_strict_pd():
     rng = _rng()
-    for name, k, gen in sample_kernels(rng):
-        if name == "distance":
-            continue
+    # the distance kernel's z0 = 0 is not among the draws, as its strict
+    # positive definiteness requires
+    for _, k, gen in sample_kernels(rng):
         pts = separated_points(rng, gen, 6)
-        g = gram(k, pts)
-        if min_eigenvalue(g) <= 1e-12 * k.diag_value:
+        if min_eigenvalue(gram(k, pts)) <= 1e-12 * np.max(k.diag(pts)):
             return False
     return True
 

@@ -123,11 +123,6 @@ class MeasurePoints:
 PointSpace = Union[Euclidean, FuncLp, MeasurePoints]
 
 
-def as_point(space: PointSpace, x):
-    """One point, validated and stacked as by ``stack_points``: a row, or a measure."""
-    return stack_points(space, [x])[0]
-
-
 def stack_points(space: PointSpace, points):
     """Check that points belong to the space, and stack them as the kernels take them.
 

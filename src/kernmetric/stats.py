@@ -71,13 +71,6 @@ def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     return float(np.sqrt(kme_sq_norm(k, measure_difference(p, q))))
 
 
-def _self_values(k: KernelSpec, *point_lists) -> list:
-    """k(z, z) at each point, one array per list (phi(0) for a profile kernel)."""
-    diag = k.diag_value
-    return [np.full(len(pts), diag) if diag is not None else np.array([k(z, z) for z in pts])
-            for pts in point_lists]
-
-
 def _roundoff_tol(*self_values: np.ndarray) -> float:
     """1e-10 * max(1, s) for s the largest self-value k(z, z) of the points involved,
     which bounds every term of a score or divergence."""
@@ -101,13 +94,13 @@ def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray
     The forecast's self-term sum_ij w_i w_j k(z_i, z_j) is computed once.
     """
     _require_probability(p, "forecast")
-    xs = xs if isinstance(xs, np.ndarray) else list(xs)
+    xs = stack_points(k.space, xs)
     # summed atom by atom, so that each outcome's score has the same bits
     # whatever the other outcomes are
     cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.points, xs)))
-    atoms, outcomes = _self_values(k, p.points, xs)
+    outcomes = k.diag(xs)
     val = -cross + 0.5 * kme_sq_norm(k, p) + 0.5 * outcomes
-    check_roundoff(val, _roundoff_tol(atoms, outcomes), "kernel score")
+    check_roundoff(val, _roundoff_tol(k.diag(p.points), outcomes), "kernel score")
     return np.where(val < 0, 0.0, val)
 
 
@@ -121,7 +114,7 @@ def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> flo
 def divergence(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Score divergence d(P, Q) = S(Q, P) - S(P, P); equals half the squared MMD."""
     val = expected_score(k, q, p) - expected_score(k, p, p)
-    check_roundoff(val, _roundoff_tol(*_self_values(k, p.points, q.points)), "divergence")
+    check_roundoff(val, _roundoff_tol(k.diag(p.points), k.diag(q.points)), "divergence")
     return 0.0 if val < 0 else val
 
 

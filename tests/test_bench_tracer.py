@@ -54,6 +54,13 @@ def test_only_the_base_class_defines_pairwise():
     assert [c.__name__ for c in _subclasses(kernels.KernelSpec) if "pairwise" in vars(c)] == []
 
 
+def test_only_the_base_class_defines_diag():
+    assert "diag" in vars(kernels.KernelSpec)
+    classes = _subclasses(kernels.KernelSpec)
+    assert [c.__name__ for c in classes if "diag" in vars(c)] == []
+    assert [c.__name__ for c in classes if c._diag is kernels.KernelSpec._diag] == []
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_traced_job_is_correct(workload, tmp_path):
     """One job under the tracer: its hooks (the size of each Gram's point set, the

@@ -148,8 +148,17 @@ def test_cli_gram_empty_function_file_is_usage_error(tmp_path, capsys):
     for text in ("", "\n \n"):
         points = write(tmp_path / "f.csv", text)
         assert main(["gram", "--grid", str(grid), "--points", points, "--out", str(out)]) == 2
-        assert "empty file" in capsys.readouterr().err
+        assert "no data rows" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("route,header", [("test2", "x1,x2"), ("mmd", "x1,weight"),
+                                          ("grid", "node,weight")])
+def test_cli_header_without_rows_is_usage_error(tmp_path, route, header):
+    path = write(tmp_path / "data.csv", header + "\n")
+    code, _, err = _run_cli(_csv_route(tmp_path, route, path))
+    assert code == 2
+    assert "no data rows" in err
 
 
 def _kernel_spec(space):

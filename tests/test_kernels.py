@@ -190,6 +190,16 @@ def test_distance_kernel_examples():
     assert k(one_d(0.0), one_d(1.0)) == 0.0
 
 
+def test_distance_kernel_diag():
+    k = make_distance_kernel(EuclideanMetric(2), np.array([3.0, 4.0]))
+    np.testing.assert_array_equal(k.diag([[0.0, 0.0], [3.0, 4.0]]), [10.0, 0.0])
+    with pytest.raises(ShapeError):
+        k.diag([[0.0, 0.0, 0.0]])
+    # |x - z0| overflows when squared, so k(x, x) = 2 |x - z0| is not finite
+    with pytest.raises(DomainError):
+        make_distance_kernel(EuclideanMetric(1), one_d(1e200)).diag([one_d(0.0)])
+
+
 def test_distance_kernel_nonnegative(rng):
     k = make_distance_kernel(EuclideanMetric(2), rng.normal(size=2))
     for _ in range(100):
@@ -483,6 +493,9 @@ def _kernels():
         ("mixture", make_mixture([(make_radial_hilbert(PHI, e3), 0.3),
                                   (make_metric_phi(Gaussian(2.0), EuclideanMetric(3)), 0.7)]),
          gen_e3),
+        ("mixture_with_distance",
+         make_mixture([(make_radial_hilbert(PHI, e3), 0.5),
+                       (make_distance_kernel(EuclideanMetric(3), np.ones(3)), 0.5)]), gen_e3),
         # probability measures of unequal sizes; with up to 24 atoms, the roundoff of
         # ||Phi(mu)||^2 + ||Phi(mu)||^2 - 2 <Phi(mu), Phi(mu)> shows through ExpSqrt
         # unless k(mu, mu) is exactly phi(0)
@@ -506,8 +519,7 @@ def test_batched_gram_matches_scalar_calls(k, gen, monkeypatch):
     scalar = np.array([[k(x, y) for y in pts] for x in pts])
     np.testing.assert_allclose(g, scalar, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(g, g.T)
-    if k.diag_value is not None:
-        assert np.all(np.diag(g) == k.diag_value)
+    assert np.array_equal(np.diag(g), k.diag(pts))
     monkeypatch.setattr(spaces, "DIFF_BLOCK", 40)  # several blocks of rows
     np.testing.assert_allclose(gram(k, pts).entries, scalar, rtol=1e-12, atol=0.0)
 

@@ -20,7 +20,7 @@ from kernmetric import (
     metric_dist,
     trapezoid_grid,
 )
-from kernmetric.spaces import as_point, stack_points
+from kernmetric.spaces import stack_points
 
 from conftest import random_function
 
@@ -60,9 +60,9 @@ def test_stack_points_checks_every_function_sample():
         with pytest.raises(error):
             stack_points(space, [f, f, bad])
         with pytest.raises(error):
-            as_point(space, bad)
+            stack_points(space, [bad])
     np.testing.assert_array_equal(stack_points(space, [f, -f]), [f, -f])
-    np.testing.assert_array_equal(as_point(space, f), f)
+    np.testing.assert_array_equal(stack_points(space, [f]), [f])
 
 
 def test_stack_points_accepts_an_equal_grid_object():

@@ -18,6 +18,7 @@ from kernmetric import (
     kernel_scores,
     kme_inner,
     kme_sq_norm,
+    make_distance_kernel,
     make_kme_measure,
     make_lp_operator,
     make_mixture,
@@ -148,6 +149,29 @@ def test_kernel_scores_compute_the_self_term_once(k2, rng, monkeypatch):
     q = random_prob_measure(rng, atoms=5)
     expected_score(k2, p, q)
     assert len(calls) == 2
+
+
+def test_distance_kernel_diagonal_is_one_batch(rng, monkeypatch):
+    """k(z, z) of a distance kernel is read in one batch per point list, so the
+    metric evaluations of a score or a divergence do not grow with the outcomes."""
+    import kernmetric.kernels as kernels
+
+    k = make_distance_kernel(EuclideanMetric(2), np.zeros(2))
+    forecast = random_prob_measure(rng, atoms=6)
+    calls = []
+    metric_dists = kernels.metric_dists
+    monkeypatch.setattr(kernels, "metric_dists",
+                        lambda *a: calls.append(1) or metric_dists(*a))
+
+    for stat in (lambda p: kernel_scores(k, forecast, p.points),
+                 lambda p: divergence(k, p, forecast)):
+        counts = []
+        for n in (10, 200):
+            outcomes = random_prob_measure(rng, atoms=n)
+            calls.clear()
+            stat(outcomes)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 def _one_point_forecast(rng, atoms=5):
