@@ -16,7 +16,6 @@ from .kernels import (
     Identity,
     KernelSpec,
     LinearGridMap,
-    check_lp_nondegeneracy,
     gaussian_frequencies,
     make_distance_kernel,
     make_fourier_measure,

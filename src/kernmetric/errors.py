@@ -25,4 +25,4 @@ class InjectivityError(KernmetricError):
 
 
 class DegeneracyError(KernmetricError):
-    """A base kernel fails the non-degeneracy (strict quadratic form) check."""
+    """A base kernel of an L^p operator kernel has k1(x, x) = 0 at a grid node."""

@@ -77,7 +77,6 @@ __all__ = [
     "make_kme_measure",
     "make_fourier_measure",
     "make_quantile_monge",
-    "check_lp_nondegeneracy",
     "gaussian_frequencies",
     "quantile_sq_w2",
 ]
@@ -270,9 +269,10 @@ class _KmeMeasure(_ProfileKernel):
         return self._one(*sorted(stack_points(self.space, (mu, nu)), key=measure_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _DistanceKernel(KernelSpec):
-    """k(x, y) = rho(x, z0) + rho(y, z0) - rho(x, y), with z0 stacked as a (1, d) array."""
+    """k(x, y) = rho(x, z0) + rho(y, z0) - rho(x, y), with z0 stacked as a (1, d) array;
+    compared and hashed by identity, as z0 is an array."""
 
     metric: MetricSpec
     z0: np.ndarray
@@ -340,44 +340,32 @@ def _map_radial(phi: PhiProfile, tee: MapSpec, space: PointSpace) -> KernelSpec:
 def make_lp_operator(
     phi: PhiProfile, k1: KernelSpec, grid: QuadratureGrid, p: float
 ) -> KernelSpec:
-    """Operator kernel on L^p(lambda) built from a base kernel on the grid line."""
+    """Operator kernel on L^p(lambda) built from a base kernel on the grid line.
+
+    The kernel is characteristic when k1 is strictly PD on the (distinct) nodes.
+    On R^1 every base kernel the library builds is strictly PD wherever its
+    diagonal is positive, so DegeneracyError is raised exactly where k1(x, x) = 0
+    at a node: a profile rule has k1(x, x) = phi(0) > 0 and a strict profile; a
+    distance kernel, 2 |x - z0| on the diagonal, is strictly PD off z0 since R^1
+    has strong negative type; a mixture is degenerate only at a node that is
+    every component's z0.
+    """
     if not (1.0 < p < np.inf):
         raise DomainError(f"cases p in {{1, inf}} are excluded; got p = {p}")
     if not isinstance(k1.space, Euclidean) or k1.space.dim != 1:
         raise ShapeError("the base kernel must live on the 1-D point space of the grid")
-    # the double quadrature form f' M f is ||f R||^2, with R R' = M from eigh
-    form = _weighted_form(k1, grid)
-    lam, vecs = np.linalg.eigh(form)
-    if not _nondegenerate(lam, form):
-        raise DegeneracyError(
-            "base kernel is degenerate on the grid: the weighted Gram form "
-            "annihilates some nonzero function"
-        )
+    k1_gram = _base_gram(k1, grid.nodes[:, None])
+    # its diagonal is k1.diag(nodes), bit for bit
+    if not np.all(np.diag(k1_gram) > 0.0):
+        raise DegeneracyError("base kernel is degenerate on the grid: k1(x, x) = 0 at a node")
+    # the double quadrature form f' M f, M[i, j] = w_i k1(x_i, x_j) w_j, is ||f R||^2,
+    # with R R' = M from eigh
+    w = grid.weights
+    lam, vecs = np.linalg.eigh((w[:, None] * k1_gram) * w[None, :])
     root = vecs * np.sqrt(np.maximum(lam, 0.0))
     root.setflags(write=False)
     # f -> f R, as the bound method, so that the kernel pickles
     return _radial(phi, FuncLp(grid, float(p)), root.__rmatmul__)
-
-
-def check_lp_nondegeneracy(k1: KernelSpec, grid: QuadratureGrid) -> bool:
-    """Discrete surrogate of the strict quadratic-form condition.
-
-    Builds M[i, j] = w_i k1(x_i, x_j) w_j and requires its smallest
-    eigenvalue to exceed 1e-10 * trace(M).
-    """
-    form = _weighted_form(k1, grid)
-    return _nondegenerate(np.linalg.eigvalsh(form), form)
-
-
-def _nondegenerate(lam: np.ndarray, form: np.ndarray) -> bool:
-    """Whether the smallest of the ascending eigenvalues lam of form exceeds 1e-10 * trace."""
-    return bool(lam[0] > 1e-10 * np.trace(form))
-
-
-def _weighted_form(k1: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """M[i, j] = w_i k1(x_i, x_j) w_j over the grid nodes."""
-    w = grid.weights
-    return (w[:, None] * _base_gram(k1, grid.nodes[:, None])) * w[None, :]
 
 
 def make_metric_phi(phi: PhiProfile, metric: MetricSpec) -> KernelSpec:

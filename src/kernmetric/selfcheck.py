@@ -338,7 +338,7 @@ def check_cauchy_schwarz():
 def check_ispd_on_signed_measures():
     rng = _rng()
     for name, k, gen in sample_kernels(rng):
-        if name in ("distance", "quantile_monge", "fourier_measure"):
+        if name in ("quantile_monge", "fourier_measure"):
             continue  # checked on probability/zero-mass classes elsewhere
         space = k.space
         for _ in range(20):

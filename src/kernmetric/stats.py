@@ -238,8 +238,8 @@ def permutation_test(
     valid under exchangeability.  Replicate i draws its permutation with
     ``default_rng(SeedSequence(seed).spawn(n_perm)[i]).permutation(n + m)``,
     so results do not depend on evaluation order; the child streams' PCG64
-    states are derived PERM_CHUNK at a time in one array pass.  seed must be
-    a nonnegative integer.
+    states are derived PERM_CHUNK at a time in one array pass.  n_perm must be
+    a positive integer and seed a nonnegative one.
 
     Replicates are evaluated PERM_CHUNK at a time from label vectors.  A
     replicate whose statistic lies within the worst-case summation error of
@@ -248,12 +248,12 @@ def permutation_test(
     arithmetic on both sides.
     """
     n, m, pooled = _pooled(k, xs, ys)
+    try:
+        n_perm, seed = operator.index(n_perm), operator.index(seed)
+    except TypeError:
+        raise DomainError(f"n_perm and seed must be integers, got {n_perm!r}, {seed!r}") from None
     if n_perm < 1:
         raise DomainError("n_perm must be positive")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     g = _base_gram(k, pooled)

@@ -76,9 +76,7 @@ def test_criterion_01_psd_suite():
 def test_criterion_02_strict_pd_suite():
     rng = _rng()
     ok = True
-    for name, k, gen in sample_kernels(rng):
-        if name == "distance":
-            continue  # conditionally PD only
+    for _, k, gen in sample_kernels(rng):
         for _ in range(50):
             pts = separated_points(rng, gen, 6, 0.15)
             if min_eigenvalue(gram(k, pts)) <= 1e-12 * np.max(k.diag(pts)):
@@ -240,8 +238,8 @@ def test_criterion_10_lp_gatekeeping():
         make_metric_phi(PHI, LpMetric(grid, 2.5))
     failures += 1
     with pytest.raises(KernmetricError):
-        # numerically rank-deficient base kernel
-        make_lp_operator(PHI, make_radial_hilbert(Gaussian(alpha=1e-9), E1), grid, 1.5)
+        # base kernel with k1(x, x) = 0 at a grid node: z0 is node 0
+        make_lp_operator(PHI, make_distance_kernel(EuclideanMetric(1), [0.0]), grid, 1.5)
     failures += 1
     with pytest.raises(KernmetricError):
         # non-injective map and a flat (non-strict) profile

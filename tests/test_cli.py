@@ -129,6 +129,22 @@ def test_cli_gram_round_trip(tmp_path, kernel_file, capsys):
     np.testing.assert_array_equal(entries, expected)
 
 
+def test_cli_gram_default_lp_operator_spec(tmp_path):
+    """An lp_operator spec without k1 takes the default base kernel, Gaussian(0.5)."""
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(str(grid), trapezoid_grid(16))
+    rows = "".join(",".join(fmt(v) for v in row) + "\n"
+                   for row in np.random.default_rng(0).normal(size=(5, 16)))
+    spec = {"space": {"kind": "func_lp", "p": 1.5}, "rule": {"kind": "lp_operator", "p": 1.5}}
+    kernel = write(tmp_path / "kernel.json", json.dumps(spec))
+    out = tmp_path / "gram.csv"
+    assert main(["gram", "--kernel", kernel, "--grid", str(grid),
+                 "--points", write(tmp_path / "f.csv", rows), "--out", str(out)]) == 0
+    entries = read_gram_csv(str(out))
+    assert entries.shape == (5, 5)
+    np.testing.assert_array_equal(entries, entries.T)
+
+
 def test_cli_gram_missing_points_is_usage_error(tmp_path, kernel_file):
     assert main(["gram", "--kernel", kernel_file, "--out", str(tmp_path / "g.csv")]) == 2
 

@@ -21,7 +21,6 @@ from kernmetric import (
     MeasurePoints,
     ProfileClassError,
     ShapeError,
-    check_lp_nondegeneracy,
     dirac,
     gaussian_frequencies,
     gram,
@@ -34,6 +33,7 @@ from kernmetric import (
     make_quantile_monge,
     make_radial_hilbert,
     make_tee_radial,
+    permutation_test,
     quantile_sq_w2,
     trapezoid_grid,
 )
@@ -105,7 +105,6 @@ def grid():
 
 @pytest.fixture
 def base_kernel():
-    # narrow enough that the weighted Gram form is numerically full rank
     return make_radial_hilbert(Gaussian(alpha=50.0), E1)
 
 
@@ -146,17 +145,45 @@ def test_lp_operator_rejects_p_one_and_inf(grid, base_kernel):
         make_lp_operator(PHI, base_kernel, grid, float("inf"))
 
 
+def _distance_base(*z0s):
+    """A distance kernel on R^1 for one z0; for several, their equal-weight mixture."""
+    ks = [make_distance_kernel(EuclideanMetric(1), one_d(z)) for z in z0s]
+    return ks[0] if len(ks) == 1 else make_mixture([(k, 1.0 / len(ks)) for k in ks])
+
+
 def test_lp_operator_rejects_degenerate_base(grid):
-    # very wide profile: numerically rank deficient on the grid
-    wide = make_radial_hilbert(Gaussian(alpha=1e-9), E1)
+    # z0 is node 0, where k1(x, x) = 2 |x - z0| = 0
     with pytest.raises(DegeneracyError):
-        make_lp_operator(PHI, wide, grid, 1.5)
+        make_lp_operator(PHI, _distance_base(0.0), grid, 1.5)
 
 
-def test_check_lp_nondegeneracy(grid, base_kernel):
-    assert check_lp_nondegeneracy(base_kernel, grid)
-    wide = make_radial_hilbert(Gaussian(alpha=1e-9), E1)
-    assert not check_lp_nondegeneracy(wide, grid)
+@pytest.mark.parametrize("alpha", [0.5, 50.0])
+@pytest.mark.parametrize("m", [8, 64, 256])
+def test_lp_operator_accepts_gaussian_base(alpha, m, rng):
+    """A Gaussian base is strictly PD on any nodes, however ill-conditioned its form."""
+    grid = trapezoid_grid(m)
+    k = make_lp_operator(PHI, make_radial_hilbert(Gaussian(alpha), E1), grid, 1.5)
+    f, g = random_function(rng, grid), random_function(rng, grid)
+    assert k(f, f) == 1.0
+    wh = grid.weights * (f - g)
+    q = wh @ np.exp(-alpha * np.subtract.outer(grid.nodes, grid.nodes) ** 2) @ wh
+    assert k(f, g) == pytest.approx(PHI(q), rel=1e-10)
+    zeros, ones = np.zeros((20, m)), np.ones((20, m))
+    assert permutation_test(k, zeros, ones, n_perm=99, seed=1).p_value == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("z0s,accepted", [
+    ((-1.0,), True),
+    ((0.0, 1.0), True),  # nodes 0 and 11: no node is the z0 of both components
+    ((0.0, 0.0), False),
+])
+def test_lp_operator_distance_base_gate(grid, z0s, accepted):
+    k1 = _distance_base(*z0s)
+    if accepted:
+        assert make_lp_operator(PHI, k1, grid, 1.5).space == FuncLp(grid, 1.5)
+    else:
+        with pytest.raises(DegeneracyError):
+            make_lp_operator(PHI, k1, grid, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +225,17 @@ def test_distance_kernel_diag():
     # |x - z0| overflows when squared, so k(x, x) = 2 |x - z0| is not finite
     with pytest.raises(DomainError):
         make_distance_kernel(EuclideanMetric(1), one_d(1e200)).diag([one_d(0.0)])
+
+
+def test_distance_kernels_compare_by_identity():
+    a = make_distance_kernel(EuclideanMetric(2), np.zeros(2))
+    b = make_distance_kernel(EuclideanMetric(2), np.zeros(2))
+    assert a != b
+    assert a == a
+    assert len({a, b}) == 2
+    hash(make_mixture([(a, 1.0)]))
+    x, y = np.array([1.0, 2.0]), np.array([-0.5, 3.0])
+    assert pickle.loads(pickle.dumps(a))(x, y) == a(x, y)
 
 
 def test_distance_kernel_nonnegative(rng):

@@ -292,17 +292,18 @@ def test_permutation_separated_functions():
 
 def _null_setup(rule):
     """A kernel and a generator of draws from one distribution."""
-    if rule == "lp_operator":
-        grid = trapezoid_grid(12)
-        base = make_radial_hilbert(Gaussian(alpha=50.0), E1)
-        return (make_lp_operator(PHI, base, grid, 1.5),
-                lambda rng: rng.normal(size=12))
+    if rule.startswith("lp_operator"):
+        # the CLI's default base kernel (alpha = 0.5) on 64 nodes, or alpha = 50 on 12
+        alpha, m = (0.5, 64) if rule.endswith("default_base") else (50.0, 12)
+        base = make_radial_hilbert(Gaussian(alpha=alpha), E1)
+        return (make_lp_operator(PHI, base, trapezoid_grid(m), 1.5),
+                lambda rng: rng.normal(size=m))
     return (make_quantile_monge(PHI, trapezoid_grid(8, 0.0, 1.0)),
             lambda rng: DiscreteMeasure(E1, tuple(np.array([v]) for v in rng.normal(size=3)),
                                         np.full(3, 1.0 / 3.0)))
 
 
-@pytest.mark.parametrize("rule", ["lp_operator", "quantile"])
+@pytest.mark.parametrize("rule", ["lp_operator", "quantile", "lp_operator_default_base"])
 def test_permutation_null_calibration(rule):
     # both samples from one distribution: 400 tests at level 0.05 reject
     # 20 times on average, and 7..33 is 20 +- 3 binomial standard deviations
@@ -329,8 +330,9 @@ def test_permutation_p_value_range(rng):
 def test_permutation_rejects_zero_perms():
     k = make_radial_hilbert(PHI, E1)
     pts = [one_d(0.0), one_d(1.0)]
-    with pytest.raises(DomainError):
-        permutation_test(k, pts, pts, n_perm=0, seed=0)
+    for n_perm in (0, 9.5, "9"):
+        with pytest.raises(DomainError, match="n_perm"):
+            permutation_test(k, pts, pts, n_perm=n_perm, seed=0)
 
 
 @pytest.mark.parametrize("seed", [1.5, "3", -1])
