@@ -20,7 +20,8 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        # copied, so that freezing it leaves the caller's array writeable
+        e = np.array(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ShapeError("entries must be a square matrix")
         if not np.all(np.isfinite(e)):

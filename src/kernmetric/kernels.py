@@ -33,11 +33,12 @@ argument block ``arg(xs, ys)``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import spaces
 from .errors import (
     OVERFLOW,
     DegeneracyError,
@@ -165,7 +166,8 @@ class LinearGridMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
+        # copied, so that freezing it leaves the caller's array writeable
+        a = np.array(self.matrix, dtype=float)
         if a.ndim != 2:
             raise ShapeError("matrix must be 2-D")
         if not np.all(np.isfinite(a)):
@@ -209,27 +211,45 @@ def _embedded_sq_dists(rows: Callable, col_weights: Optional[np.ndarray], xs, ys
     return _sq_dists(*_rows_pair(rows, xs, ys), col_weights)
 
 
-def _kme_side(k1: KernelSpec, measures: tuple):
-    """The atoms of measures as one array; the offset and the rows of each measure's
-    atoms; and each ||Phi(mu)||^2 = w_mu' K1 w_mu."""
-    atoms = np.concatenate([m.points for m in measures])
-    starts = np.cumsum([0] + [len(m.weights) for m in measures[:-1]])
-    own = np.split(atoms, starts[1:])
-    self_terms = [m.weights @ k1._block(a, a) @ m.weights for m, a in zip(measures, own)]
-    return atoms, starts, own, self_terms
+def _kme_groups(bounds: list, limit: int):
+    """(first, last) for runs of consecutive measures, the atoms of measure i being
+    bounds[i] to bounds[i + 1]: each run spans at most limit atoms, or is one measure."""
+    first = 0
+    for last in range(1, len(bounds)):
+        if last == len(bounds) - 1 or bounds[last + 1] - bounds[first] > limit:
+            yield first, last
+            first = last
 
 
 def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
-    """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
-    one mu at a time so that no temporary spans the atoms of two measures of xs;
+    """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu;
     exactly 0 where both sides are the same measure (equal ``measure_key``), and
-    clamped at 0 against roundoff."""
+    clamped at 0 against roundoff.
+
+    K1 is evaluated for runs of consecutive measures of xs against all atoms of
+    ys.  A run spans at most max(one measure's atoms, DIFF_BLOCK // atoms of ys)
+    rows, so that a block of K1 holds at most DIFF_BLOCK entries or the rows of a
+    single measure.  When ys is xs, each ||Phi(mu)||^2 = w_mu' K1 w_mu is read
+    off mu's diagonal block in its run; otherwise each side's own blocks give it.
+    """
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
-    (_, _, own_x, sx), (ay, starts, _, sy) = _rows_pair(partial(_kme_side, k1), xs, ys)
+    ax, ay = _rows_pair(lambda ms: np.concatenate([m.points for m in ms]), xs, ys)
     wy = np.concatenate([nu.weights for nu in ys])
-    inner = np.array([np.add.reduceat(mu.weights @ k1._block(a, ay) * wy, starts)
-                      for mu, a in zip(xs, own_x)])
+    starts = np.cumsum([0] + [len(nu.weights) for nu in ys[:-1]])
+    bx = np.cumsum([0] + [len(mu.weights) for mu in xs]).tolist()
+    inner, sx = np.empty((len(xs), len(ys))), np.empty(len(xs))
+    for first, last in _kme_groups(bx, spaces.DIFF_BLOCK // len(ay)):
+        block = k1._block(ax[bx[first]:bx[last]], ay)
+        for i in range(first, last):
+            w, rows = xs[i].weights, block[bx[i] - bx[first]:bx[i + 1] - bx[first]]
+            inner[i] = np.add.reduceat(w @ rows * wy, starts)
+            if ys is xs:
+                sx[i] = w @ rows[:, bx[i]:bx[i + 1]] @ w
+    sy = sx
+    if ys is not xs:
+        sx, sy = ([m.weights @ k1._block(m.points, m.points) @ m.weights for m in ms]
+                  for ms in (xs, ys))
     d2 = np.add.outer(sx, sy) - 2.0 * inner
     ids = {}
     ix = [ids.setdefault(measure_key(m), len(ids)) for m in xs]
@@ -250,6 +270,11 @@ class _ProfileKernel(KernelSpec):
     def __post_init__(self):
         _require_strict(self.phi)
 
+    @cached_property
+    def _phi0(self) -> float:
+        """phi(0), every k(x, x): evaluated once per kernel, at its first ``diag``."""
+        return self.phi(0.0)
+
     def __call__(self, x, y) -> float:
         return self._one(x, y)
 
@@ -258,7 +283,7 @@ class _ProfileKernel(KernelSpec):
 
     def _diag(self, xs) -> np.ndarray:
         # arg(x, x) is exactly 0
-        return np.full(len(xs), self.phi(0.0))
+        return np.full(len(xs), self._phi0)
 
 
 class _KmeMeasure(_ProfileKernel):

@@ -45,8 +45,9 @@ class QuadratureGrid:
     domain: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        # copied, so that freezing them leaves the caller's arrays writeable
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or weights.shape != nodes.shape:
             raise ShapeError("nodes and weights must be 1-D arrays of equal length")
         if nodes.size < 2:
@@ -183,7 +184,8 @@ class DiscreteMeasure:
             # copied, so that the measure shares no array with its caller
             points = points.copy()
             points.setflags(write=False)
-        weights = np.asarray(self.weights, dtype=float)
+        # copied, as the points are, so that freezing it leaves the caller's array writeable
+        weights = np.array(self.weights, dtype=float)
         if len(points) < 1:
             raise DomainError("a measure needs at least one support point")
         if weights.shape != (len(points),):
@@ -209,9 +211,9 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         if self._mass_override is not None:
             return self._mass_override
-        # left-to-right order fixed for reproducibility
+        # left to right, as Python floats: the order is fixed for reproducibility
         total = 0.0
-        for w in self.weights:
+        for w in self.weights.tolist():
             total += w
         return total
 
@@ -289,15 +291,21 @@ DIFF_BLOCK = 1 << 15
 def reduce_diffs(reduce, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The (n, m) array of ``reduce`` over the differences of two stacked point arrays.
 
-    ``reduce`` maps a (rows, m, d) array of differences x_i - y_j to its
-    (rows, m) values; it is applied to blocks of rows of xs of at most
-    DIFF_BLOCK difference entries each.
+    ``reduce`` maps a C-contiguous (rows, m, d) array of differences x_i - y_j,
+    which it may overwrite, to its (rows, m) values; it is applied to blocks of
+    rows of xs of at most DIFF_BLOCK difference entries each.  Each block is
+    filled with its rows of xs repeated m times, and ys is subtracted in place,
+    so that numpy's inner loop runs over all m * d entries of a row rather than
+    over the d coordinates of one pair; the differences are the same bits.
     """
     n, m = len(xs), len(ys)
     rows = max(1, DIFF_BLOCK // max(1, m * xs.shape[1]))
     out = np.empty((n, m))
     for lo in range(0, n, rows):
-        out[lo:lo + rows] = reduce(xs[lo:lo + rows, None, :] - ys[None, :, :])
+        diff = np.repeat(xs[lo:lo + rows, None, :], m, axis=1)
+        diff -= ys
+        out[lo:lo + rows] = reduce(diff)
+        del diff  # freed before the next block is made, so that its memory is reused
     return out
 
 

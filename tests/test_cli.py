@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernmetric import (DomainError, Euclidean, FuncLp, Gaussian, QuadratureGrid, gram,
+from kernmetric import (DiscreteMeasure, DomainError, Euclidean, FuncLp, Gaussian, LpMetric,
+                        QuadratureGrid, gram, kernel_scores, make_distance_kernel,
                         make_radial_hilbert, selfcheck, trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
 from kernmetric.io import (
@@ -143,6 +144,23 @@ def test_cli_gram_default_lp_operator_spec(tmp_path):
     entries = read_gram_csv(str(out))
     assert entries.shape == (5, 5)
     np.testing.assert_array_equal(entries, entries.T)
+
+
+def test_cli_gram_on_a_grid_file_equals_the_library(tmp_path):
+    # the grid's weights are read as a column of the CSV table; the kernel must
+    # see the same values as from a grid built in the library, to the bit
+    grid = trapezoid_grid(16)
+    write_grid_csv(str(tmp_path / "grid.csv"), grid)
+    spec = {"space": {"kind": "func_lp", "p": 1.5},
+            "rule": {"kind": "distance", "metric": {"kind": "lp", "p": 1.5}, "z0": [0.0] * 16}}
+    fs = np.random.default_rng(0).normal(size=(20, 16))
+    out = tmp_path / "gram.csv"
+    assert main(["gram", "--kernel", write(tmp_path / "k.json", json.dumps(spec)),
+                 "--grid", str(tmp_path / "grid.csv"), "--out", str(out),
+                 "--points", write(tmp_path / "f.csv", "".join(
+                     ",".join(fmt(v) for v in row) + "\n" for row in fs))]) == 0
+    k = make_distance_kernel(LpMetric(grid, 1.5), np.zeros(16))
+    np.testing.assert_array_equal(read_gram_csv(str(out)), gram(k, fs).entries)
 
 
 def test_cli_gram_missing_points_is_usage_error(tmp_path, kernel_file):
@@ -371,6 +389,27 @@ def test_cli_score_rows(tmp_path, kernel_file):
     assert float(lines[1]) == 0.0
     assert float(lines[2]) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
     assert lines[3].startswith("mean,")
+
+
+def test_cli_score_equals_the_library(tmp_path):
+    # the forecast's weights are read as a column of the CSV table; the scores must
+    # be those of the same measure built in the library, to the bit
+    spec = {"space": {"kind": "euclidean", "dim": 2}, "rule": {"kind": "radial_hilbert"},
+            "phi": {"family": "gaussian", "alpha": 0.5}}
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    k = make_radial_hilbert(PHI, Euclidean(2))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        pts, w, obs = rng.normal(size=(40, 2)), rng.dirichlet(np.ones(40)), rng.normal(size=(20, 2))
+        forecast = write(tmp_path / "f.csv", "x1,x2,weight\n" + "".join(
+            f"{fmt(a)},{fmt(b)},{fmt(c)}\n" for (a, b), c in zip(pts, w)))
+        out = tmp_path / "s.csv"
+        assert main(["score", "--kernel", kernel, "--forecast", forecast, "--out", str(out),
+                     "--obs", write(tmp_path / "o.csv", "x1,x2\n" + "".join(
+                         f"{fmt(a)},{fmt(b)}\n" for a, b in obs))]) == 0
+        scores = [float(s) for s in out.read_text().splitlines()[1:-1]]
+        np.testing.assert_array_equal(
+            scores, kernel_scores(k, DiscreteMeasure(Euclidean(2), pts, w), obs))
 
 
 def test_cli_score_negative_weight_forecast_is_data_error(tmp_path, kernel_file):

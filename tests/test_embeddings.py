@@ -63,6 +63,14 @@ def test_gram_matrix_shape_validation():
         GramMatrix(np.array([[np.nan]]))
 
 
+def test_gram_matrix_leaves_caller_array_writeable():
+    a = np.eye(2)
+    g = GramMatrix(a)
+    assert a.flags.writeable
+    a[0, 1] = 5.0  # the Gram matrix keeps its own copy
+    np.testing.assert_array_equal(g.entries, np.eye(2))
+
+
 def test_min_eigenvalue_known_2x2():
     # eigenvalues of [[1, r], [r, 1]] are 1 - r and 1 + r
     r = math.exp(-1.0)

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 
@@ -59,6 +60,25 @@ def test_radial_hilbert_diagonal():
     k = make_radial_hilbert(PHI, E1)
     x = one_d(0.7)
     assert k(x, x) == 1.0
+
+
+def test_profile_kernel_diag_evaluates_no_profile(monkeypatch):
+    phi = DiscreteLaplace(atoms=((1.0, 0.3), (2.0, 0.5)))
+    k = make_radial_hilbert(phi, E2)
+    pts = np.array([[0.0, 1.0], [2.0, -3.0]])
+    calls = []
+    base_phi = DiscreteLaplace.__call__
+    monkeypatch.setattr(DiscreteLaplace, "__call__",
+                        lambda phi, t: calls.append(t) or base_phi(phi, t))
+    diag = k.diag(pts)
+    assert np.array_equal(k.diag(pts[::-1]), diag)
+    assert calls == [0.0]  # phi(0) is evaluated once per kernel
+    assert np.array_equal(diag, [base_phi(phi, 0.0)] * 2)
+    assert np.array_equal(diag, [k(x, x) for x in pts])
+    # the stored phi(0) takes no part in equality, hashing or the repr
+    twin = copy.copy(k)
+    assert twin == k and hash(twin) == hash(k) and "_phi0" not in repr(k)
+    assert np.array_equal(pickle.loads(pickle.dumps(k)).diag(pts), diag)
 
 
 def test_radial_hilbert_known_value():
@@ -332,8 +352,54 @@ def test_kme_gram_evaluates_each_self_term_once(monkeypatch):
     base_phi = Gaussian.__call__
     monkeypatch.setattr(Gaussian, "__call__", lambda phi, t: calls.append(t) or base_phi(phi, t))
     gram(k, ms)
-    # one base block per measure against all atoms, and one per ||Phi(mu)||^2
-    assert len(calls) == 2 * len(ms)
+    # one base block for all 48 atoms against themselves, each ||Phi(mu)||^2 read off it
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("diff_block,shapes", [
+    (None, [(48, 48)]),  # the whole Gram in one base block
+    (400, [(8, 48)] * 6),  # 400 // 48 = 8 rows: two measures per block
+    (40, [(4, 48)] * 12),  # fewer rows than one measure has atoms: one measure per block
+])
+def test_kme_base_blocks_are_bounded_by_diff_block(diff_block, shapes, monkeypatch):
+    from kernmetric import spaces
+
+    if diff_block is not None:
+        monkeypatch.setattr(spaces, "DIFF_BLOCK", diff_block)
+    k = make_kme_measure(ExpSqrt(c=1.0), make_radial_hilbert(Gaussian(1.0), E2))
+    rng = np.random.default_rng(3)
+    ms = [random_prob_measure(rng, atoms=4) for _ in range(12)]
+    calls = []
+    base_phi = Gaussian.__call__
+    monkeypatch.setattr(Gaussian, "__call__", lambda phi, t: calls.append(t) or base_phi(phi, t))
+    gram(k, ms)
+    assert [t.shape for t in calls] == shapes
+
+
+def _kme_blocks(k, xs, ys):
+    return [gram(k, xs).entries, k.pairwise(xs, ys), k.pairwise(ys, xs), k.pairwise(xs[:1], xs),
+            np.array([k(mu, nu) for mu in xs[:6] for nu in ys])]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_kme_blocks_do_not_depend_on_diff_block(signed, monkeypatch):
+    from kernmetric import spaces
+
+    k = make_kme_measure(ExpSqrt(c=1.0), make_radial_hilbert(Gaussian(1.0), E2))
+    rng = np.random.default_rng(4)
+
+    def measure():
+        atoms = int(rng.integers(1, 25))
+        w = rng.normal(size=atoms) if signed else rng.dirichlet(np.ones(atoms))
+        return DiscreteMeasure(E2, rng.normal(size=(atoms, 2)), w)
+
+    xs, ys = [measure() for _ in range(13)], [measure() for _ in range(5)]
+    xs.append(xs[3])  # the same measure twice: its distance is exactly 0
+    runs = _kme_blocks(k, xs, ys)  # several measures of xs per base block
+    for diff_block in (40, 400):  # one measure of xs per base block; runs cut mid-list
+        monkeypatch.setattr(spaces, "DIFF_BLOCK", diff_block)
+        for a, b in zip(_kme_blocks(k, xs, ys), runs):
+            assert np.array_equal(a, b)
 
 
 def test_fourier_measure_single_frequency():
@@ -375,6 +441,14 @@ def test_fourier_measure_leaves_caller_arrays_writeable():
     before = k(mu, nu)
     freqs[:] = 0.0  # the kernel keeps its own copy
     assert k(mu, nu) == before
+
+
+def test_linear_grid_map_leaves_caller_matrix_writeable():
+    a = np.eye(2)
+    tee = LinearGridMap(a)
+    assert a.flags.writeable
+    a[0, 0] = 5.0  # the map keeps its own copy
+    np.testing.assert_array_equal(tee.matrix, np.eye(2))
 
 
 @pytest.mark.parametrize("freqs,weights,error", [

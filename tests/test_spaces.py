@@ -262,6 +262,48 @@ def test_measure_support_is_a_read_only_copy():
         mu.points[0][0] = 9.0
 
 
+def test_measure_and_grid_leave_caller_arrays_writeable():
+    w = np.array([0.25, 0.75])
+    mu = DiscreteMeasure(Euclidean(1), (0.0, 1.0), w)
+    nodes, weights = np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25])
+    grid = QuadratureGrid(nodes, weights)
+    assert w.flags.writeable and nodes.flags.writeable and weights.flags.writeable
+    w[0], nodes[0], weights[0] = 9.0, -1.0, 9.0  # each object keeps its own copy
+    np.testing.assert_array_equal(mu.weights, [0.25, 0.75])
+    np.testing.assert_array_equal(grid.nodes, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(grid.weights, [0.25, 0.5, 0.25])
+    with pytest.raises(ValueError):
+        mu.weights[0] = 9.0
+
+
+def test_total_mass_sums_left_to_right():
+    # a compensated sum (math.fsum, or sum() on Python >= 3.12) gives 1 + 2^-52 here
+    mu = DiscreteMeasure(Euclidean(1), (0.0, 1.0, 2.0, 3.0), np.array([1.0, 1e-16, 1e-16, 1e-16]))
+    assert mu.total_mass == 1.0 and type(mu.total_mass) is float
+    assert math.fsum(mu.weights) != 1.0
+
+
+def _lp_sums(w):
+    return lambda diff: np.power(np.abs(diff, out=diff), 1.5, out=diff) @ w
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 480])
+@pytest.mark.parametrize("n,m", [(7, 5), (1, 6), (6, 1), (4, 0), (0, 3)])
+@pytest.mark.parametrize("diff_block", [None, 40])
+def test_reduce_diffs_matches_broadcast_differences(d, n, m, diff_block, monkeypatch):
+    from kernmetric import spaces
+
+    if diff_block is not None:
+        monkeypatch.setattr(spaces, "DIFF_BLOCK", diff_block)  # one row per block
+    rng = np.random.default_rng(d)
+    xs, ys, w = rng.normal(size=(n, d)), rng.normal(size=(m, d)), rng.uniform(size=d)
+    for reduce in (spaces.sum_sq, lambda diff: np.einsum("ijk,ijk,k->ij", diff, diff, w),
+                   _lp_sums(w)):
+        got = spaces.reduce_diffs(reduce, xs, ys)
+        assert got.shape == (n, m)
+        assert np.array_equal(got, reduce(xs[:, None, :] - ys[None]))
+
+
 def test_measure_space_nesting_limited():
     inner = MeasurePoints(Euclidean(1))
     with pytest.raises(DomainError):
