@@ -8,7 +8,7 @@ import csv
 import os
 import tempfile
 from dataclasses import fields
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,10 +69,14 @@ class ParseError(DomainError):
     """A file failed to parse; message names the file and line."""
 
 
-def _read_csv(path: str) -> List[List[str]]:
+def _read_csv(path: str) -> List[Tuple[int, List[str]]]:
+    """The rows of a CSV file that are not blank, each with the number of the line
+    it ends on."""
     try:
         with open(path, newline="") as fh:
-            return [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+            reader = csv.reader(fh)
+            return [(reader.line_num, row) for row in reader
+                    if row and any(c.strip() for c in row)]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -84,24 +88,25 @@ def _floats(path: str, lineno: int, row: Sequence[str]) -> List[float]:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
-def _table(path: str, header: Optional[Callable[[List[str]], None]] = None):
+def _table(path: str, header: Optional[Callable[[int, List[str]], None]] = None):
     """(header cells, data rows as a float array) of a CSV file.
 
-    ``header``, when given, checks the stripped cells of the first row (an empty
-    list for an empty file) before any data row is read.  Every data row must
-    have as many cells as the header, or, without one, as the first row; lines
-    are numbered without the blank ones.  A file without a data row raises
-    ParseError.
+    ``header``, when given, checks the line number and the stripped cells of the
+    first row (1 and an empty list for an empty file) before any data row is
+    read.  Every data row must have as many cells as the header, or, without
+    one, as the first row.  An error names the line of the file that its row
+    ends on, blank lines counted.  A file without a data row raises ParseError.
     """
     rows = _read_csv(path)
     cells = []
     if header is not None:
-        cells = [c.strip() for c in rows[0]] if rows else []
-        header(cells)
+        lineno, first = rows[0] if rows else (1, [])
+        cells = [c.strip() for c in first]
+        header(lineno, cells)
         rows = rows[1:]
-    width = len(cells) if header is not None else len(rows[0]) if rows else 0
+    width = len(cells) if header is not None else len(rows[0][1]) if rows else 0
     data = []
-    for lineno, row in enumerate(rows, 2 if header is not None else 1):
+    for lineno, row in rows:
         if len(row) != width:
             raise ParseError(f"{path}:{lineno}: row has {len(row)} columns, expected {width}")
         data.append(_floats(path, lineno, row))
@@ -112,21 +117,22 @@ def _table(path: str, header: Optional[Callable[[List[str]], None]] = None):
 
 def _coordinate_header(path: str, extra: List[str]):
     """Check of the header 'x1,...,xd' followed by the columns ``extra``, d >= 1."""
-    def check(cells):
+    def check(lineno, cells):
         if not cells:
             raise ParseError(f"{path}: empty file")
         d = len(cells) - len(extra)
         if d < 1 or cells != [f"x{i + 1}" for i in range(d)] + extra:
-            raise ParseError(f"{path}:1: expected header {','.join(['x1', '...', 'xd'] + extra)}")
+            expected = ",".join(["x1", "...", "xd"] + extra)
+            raise ParseError(f"{path}:{lineno}: expected header {expected}")
 
     return check
 
 
 def read_grid_csv(path: str) -> QuadratureGrid:
     """Grid CSV: header 'node,weight', one row per node."""
-    def check(cells):
+    def check(lineno, cells):
         if cells != ["node", "weight"]:
-            raise ParseError(f"{path}:1: expected header 'node,weight'")
+            raise ParseError(f"{path}:{lineno}: expected header 'node,weight'")
 
     _, arr = _table(path, check)
     nodes, weights = arr[:, 0], arr[:, 1]

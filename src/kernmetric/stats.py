@@ -146,25 +146,37 @@ def mmd_u_statistic(k: KernelSpec, xs: Sequence, ys: Sequence) -> float:
 #: permutation replicates evaluated together, as the rows of one label matrix
 PERM_CHUNK = 128
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+# numpy's SeedSequence hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
+_UINT64 = np.dtype(np.uint64)
 
 
-def _hashmix(values: np.ndarray, const: int, mult: int):
-    """SeedSequence's hashmix of a uint32 array; returns it and the next hash constant."""
-    values = values ^ np.uint32(const)
-    const = const * mult & _MASK32
-    values = values * np.uint32(const)
-    return values ^ values >> np.uint32(16), const
+def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants before and after each of count hashmix calls from const."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _child_seed_words(parent: np.random.SeedSequence, spawn_words: np.ndarray) -> list:
+#: the constants of generate_state's 8 hashmix calls, one row each
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row j of values (broadcast) with the constants
+    consts[j] and consts[j + 1]."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> np.uint32(16)
+
+
+def _child_seed_words(parent: np.random.SeedSequence, spawn_words: np.ndarray) -> np.ndarray:
     """``generate_state(4, uint64)`` of the children of a fresh parent whose spawn keys
-    are the one-word tuples (w,) for w in spawn_words, as four uint64 arrays.
+    are the one-word tuples (w,) for w in spawn_words, as the rows of one C-contiguous
+    (len(spawn_words), 4) uint64 array.
 
     A child's entropy is the parent's, padded with zeros to the 4-word pool, followed
     by its spawn word, so its mixer equals ``parent.pool`` until the spawn word is
@@ -172,39 +184,55 @@ def _child_seed_words(parent: np.random.SeedSequence, spawn_words: np.ndarray) -
     have advanced the hash constant.
     """
     n_entropy = max(1, -(-parent.entropy.bit_length() // 32))
-    const = _INIT_A * pow(_MULT_A, 4 * max(n_entropy, 4), 2**32) & _MASK32
-    mixer = []
-    for word in parent.pool.tolist():
-        hashed, const = _hashmix(spawn_words, const, _MULT_A)
-        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
-        mixer.append(mixed ^ mixed >> np.uint32(16))
-    const = _INIT_B
-    state = []
-    for j in range(8):
-        hashed, const = _hashmix(mixer[j % 4], const, _MULT_B)
-        state.append(hashed.astype(np.uint64))
-    return [state[j] | state[j + 1] << np.uint64(32) for j in range(0, 8, 2)]
+    consts = _hash_consts(_INIT_A * pow(_MULT_A, 4 * max(n_entropy, 4), 2**32) & _MASK32,
+                          _MULT_A, 4)
+    hashed = _hashmix(spawn_words, consts)  # (4, len(spawn_words)): one row per pool word
+    mixer = parent.pool[:, None] * np.uint32(_MIX_MULT_L) - np.uint32(_MIX_MULT_R) * hashed
+    mixer ^= mixer >> np.uint32(16)
+    state = _hashmix(mixer[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS)
+    # generate_state's layout: the uint32 words as little-endian pairs
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords:
+    """Child ``generate_state(4, uint64)`` words, the rows of a (rows, 4) array, handed to
+    one PCG64 after another so that each seeds itself from the next row: a
+    ``numpy.random.bit_generator.ISeedSequence``, registered as one when first built,
+    so that importing kernmetric does not load numpy.random (about 17 ms).
+
+    PCG64 reads the returned buffer without a check, so only a C-contiguous (rows, 4)
+    uint64 array is taken, whose rows are C-contiguous (4,) uint64 arrays, and a request
+    for anything but 4 uint64 words, or for a row past the last, raises ValueError.
+    """
+
+    def __init__(self, words: np.ndarray):
+        if (words.dtype != _UINT64 or words.ndim != 2 or words.shape[1] != 4
+                or not words.flags.c_contiguous):
+            raise ValueError("seed words must be a C-contiguous (rows, 4) uint64 array")
+        np.random.bit_generator.ISeedSequence.register(_SeedWords)
+        self._rows = iter(words)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != _UINT64:
+            raise ValueError(f"only 4 uint64 words can be generated, not {n_words} {dtype}")
+        row = next(self._rows, None)
+        if row is None:
+            raise ValueError("every row of seed words has been used")
+        return row
 
 
 def _permutations(seed: int, n_perm: int, size: int):
     """Yield the permutations of range(size), PERM_CHUNK rows at a time: row i is
     ``default_rng(SeedSequence(seed).spawn(n_perm)[i]).permutation(size)``."""
     parent = np.random.SeedSequence(seed)
-    gen = np.random.default_rng()
     for lo in range(0, n_perm, PERM_CHUNK):
         spawn_words = np.arange(lo, min(lo + PERM_CHUNK, n_perm), dtype=np.uint32)
-        words = _child_seed_words(parent, spawn_words)
         # permutation(size) shuffles arange(size) in place; so does each row here
         perms = np.empty((len(spawn_words), size), dtype=np.intp)
         perms[:] = np.arange(size)
-        for row, s_hi, s_lo, i_hi, i_lo in zip(perms, *(w.tolist() for w in words)):
-            # PCG64's seeding: state 0, one step, add the seed, one more step
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            gen.bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            gen.shuffle(row)
+        seed_words = _SeedWords(_child_seed_words(parent, spawn_words))
+        for row in perms:
+            np.random.Generator(np.random.PCG64(seed_words)).shuffle(row)
         yield perms
 
 
@@ -237,9 +265,10 @@ def permutation_test(
     The p-value uses the (1 + count) / (B + 1) convention, which is exactly
     valid under exchangeability.  Replicate i draws its permutation with
     ``default_rng(SeedSequence(seed).spawn(n_perm)[i]).permutation(n + m)``,
-    so results do not depend on evaluation order; the child streams' PCG64
-    states are derived PERM_CHUNK at a time in one array pass.  n_perm must be
-    a positive integer and seed a nonnegative one.
+    so results do not depend on evaluation order.  The children's SeedSequence
+    hashing is vectorised, PERM_CHUNK at a time, and PCG64 seeds itself from
+    the words it gives.  n_perm must be an integer in [1, 2**32] (child i's
+    spawn key is one 32-bit word only below that) and seed a nonnegative one.
 
     Replicates are evaluated PERM_CHUNK at a time from label vectors.  A
     replicate whose statistic lies within the worst-case summation error of
@@ -254,6 +283,8 @@ def permutation_test(
         raise DomainError(f"n_perm and seed must be integers, got {n_perm!r}, {seed!r}") from None
     if n_perm < 1:
         raise DomainError("n_perm must be positive")
+    if n_perm > 2**32:
+        raise DomainError(f"n_perm must be at most 2**32, got {n_perm}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     g = _base_gram(k, pooled)

@@ -84,6 +84,17 @@ def test_malformed_csv_raises_parse_error(tmp_path):
         read_measure_csv(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("x1,x2\n1,2\n\n3,4\n5,oops\n", "bad.csv:5: could not convert"),
+    ("x1,x2\n\n1,2\n , \n3,4,5\n", "bad.csv:5: row has 3 columns, expected 2"),
+    ("\n\nx1,x3\n1,2\n", "bad.csv:3: expected header"),
+])
+def test_csv_errors_name_the_line_blank_lines_counted(tmp_path, text, message):
+    path = write(tmp_path / "bad.csv", text)
+    with pytest.raises(ParseError, match=message):
+        read_points_csv(path)
+
+
 def test_write_gram_csv_matches_per_value_format(tmp_path, rng):
     entries = rng.normal(size=(7, 7)) * 10.0 ** rng.integers(-300, 300, size=(7, 7))
     entries[0, :4] = [0.0, -0.0, 5e-324, 1.0]

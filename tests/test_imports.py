@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,11 @@ def test_module_reads_every_name_it_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_no_private_name(path):
     assert set(private_imports(path.read_text())) <= ALLOWED_PRIVATE
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy loads numpy.random on first use; loading it on import costs every CLI
+    # command about 17 ms
+    code = "import sys, kernmetric.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -355,6 +355,50 @@ def test_permutation_streams_match_numpy_spawn(n_perm):
                 np.concatenate(list(_permutations(seed, n_perm, size))), expected)
 
 
+@pytest.mark.parametrize("lo", [0, 127, 128])
+@pytest.mark.parametrize("seed", [0, 2**32, 2**128 - 1, 2**128, 2**200 + 1])
+def test_child_seed_words_match_numpy_spawn(seed, lo):
+    # the seeds have 1, 2, 4, 5 and 7 entropy words
+    from kernmetric.stats import _child_seed_words
+
+    hi = lo + 130
+    words = _child_seed_words(np.random.SeedSequence(seed), np.arange(lo, hi, dtype=np.uint32))
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    expected = [child.generate_state(4, np.uint64)
+                for child in np.random.SeedSequence(seed).spawn(hi)[lo:]]
+    np.testing.assert_array_equal(words, expected)
+
+
+def test_seed_words_refuse_what_pcg64_cannot_read_safely():
+    # PCG64 reads the returned buffer unchecked: strided rows would seed other
+    # states and short ones would be read past their end
+    from kernmetric.stats import _SeedWords
+
+    children = np.random.SeedSequence(5).spawn(3)
+    seed_words = _SeedWords(np.array([c.generate_state(4, np.uint64) for c in children]))
+    for child in children:
+        np.testing.assert_array_equal(np.random.PCG64(seed_words).random_raw(3),
+                                      np.random.PCG64(child).random_raw(3))
+    with pytest.raises(ValueError, match="used"):
+        np.random.PCG64(seed_words)
+    words = np.arange(24, dtype=np.uint64).reshape(3, 8)
+    for bad in [words[:, ::2], words[:, :4], words[:, :2].copy(), words[:, :4].astype(np.uint32),
+                words[0, :4].copy()]:
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _SeedWords(bad)
+    for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint64)]:
+        with pytest.raises(ValueError, match="only 4 uint64"):
+            _SeedWords(words[:, :4].copy()).generate_state(n_words, dtype)
+
+
+def test_permutation_rejects_more_perms_than_one_word_spawn_keys():
+    # child 2**32 has a two-word spawn key; refused before any replicate is drawn
+    k = make_radial_hilbert(PHI, E1)
+    pts = [one_d(0.0), one_d(1.0)]
+    with pytest.raises(DomainError, match="n_perm"):
+        permutation_test(k, pts, pts, n_perm=2**32 + 1, seed=0)
+
+
 def _copy_loop_permutation_test(k, xs, ys, n_perm, seed):
     """Reference: every replicate's statistic from its own permuted Gram copy."""
     from kernmetric.kernels import _base_gram
