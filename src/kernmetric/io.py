@@ -88,14 +88,16 @@ def _floats(path: str, lineno: int, row: Sequence[str]) -> List[float]:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
-def _table(path: str, header: Optional[Callable[[int, List[str]], None]] = None):
+def _table(path: str, header: Optional[Callable[[int, List[str]], None]] = None,
+           width: Optional[Callable[[int, int], None]] = None):
     """(header cells, data rows as a float array) of a CSV file.
 
     ``header``, when given, checks the line number and the stripped cells of the
     first row (1 and an empty list for an empty file) before any data row is
     read.  Every data row must have as many cells as the header, or, without
-    one, as the first row.  An error names the line of the file that its row
-    ends on, blank lines counted.  A file without a data row raises ParseError.
+    one, as the first row; ``width``, when given, checks the line number of the
+    first data row and that count.  An error names the line of the file that its
+    row ends on, blank lines counted.  A file without a data row raises ParseError.
     """
     rows = _read_csv(path)
     cells = []
@@ -104,11 +106,13 @@ def _table(path: str, header: Optional[Callable[[int, List[str]], None]] = None)
         cells = [c.strip() for c in first]
         header(lineno, cells)
         rows = rows[1:]
-    width = len(cells) if header is not None else len(rows[0][1]) if rows else 0
+    n_cells = len(cells) if header is not None else len(rows[0][1]) if rows else 0
+    if width is not None and rows:
+        width(rows[0][0], n_cells)
     data = []
     for lineno, row in rows:
-        if len(row) != width:
-            raise ParseError(f"{path}:{lineno}: row has {len(row)} columns, expected {width}")
+        if len(row) != n_cells:
+            raise ParseError(f"{path}:{lineno}: row has {len(row)} columns, expected {n_cells}")
         data.append(_floats(path, lineno, row))
     if not data:
         raise ParseError(f"{path}: no data rows")
@@ -148,10 +152,12 @@ def write_grid_csv(path: str, grid: QuadratureGrid):
 def read_function_csv(path: str, grid: QuadratureGrid) -> np.ndarray:
     """Function data CSV: one row per function, its values at the grid's m nodes, no
     header; returns the (n, m) array of the rows (``stack_points``)."""
-    _, arr = _table(path)
-    if arr.shape[1] != len(grid):
-        raise ShapeError(f"{path}:1: row has {arr.shape[1]} columns, grid has {len(grid)} nodes")
-    return stack_points(FuncLp(grid), arr)
+    def check(lineno, n_cells):
+        if n_cells != len(grid):
+            raise ShapeError(f"{path}:{lineno}: row has {n_cells} columns, "
+                             f"grid has {len(grid)} nodes")
+
+    return stack_points(FuncLp(grid), _table(path, width=check)[1])
 
 
 def read_points_csv(path: str) -> np.ndarray:

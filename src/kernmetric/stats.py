@@ -198,7 +198,8 @@ class _SeedWords:
     """Child ``generate_state(4, uint64)`` words, the rows of a (rows, 4) array, handed to
     one PCG64 after another so that each seeds itself from the next row: a
     ``numpy.random.bit_generator.ISeedSequence``, registered as one when first built,
-    so that importing kernmetric does not load numpy.random (about 17 ms).
+    so that importing kernmetric does not load numpy.random (about 17 ms on numpy >= 2,
+    which loads it on first use; numpy 1.x loads it with numpy itself).
 
     PCG64 reads the returned buffer without a check, so only a C-contiguous (rows, 4)
     uint64 array is taken, whose rows are C-contiguous (4,) uint64 arrays, and a request

@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernmetric import (DiscreteMeasure, DomainError, Euclidean, FuncLp, Gaussian, LpMetric,
-                        QuadratureGrid, gram, kernel_scores, make_distance_kernel,
-                        make_radial_hilbert, selfcheck, trapezoid_grid)
+                        QuadratureGrid, ShapeError, gram, kernel_scores,
+                        make_distance_kernel, make_radial_hilbert, selfcheck, trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
 from kernmetric.io import (
     ParseError,
     fmt,
     kernel_from_json,
     read_gram_csv,
+    read_function_csv,
     read_grid_csv,
     read_measure_csv,
     read_points_csv,
@@ -84,15 +85,22 @@ def test_malformed_csv_raises_parse_error(tmp_path):
         read_measure_csv(path)
 
 
-@pytest.mark.parametrize("text,message", [
-    ("x1,x2\n1,2\n\n3,4\n5,oops\n", "bad.csv:5: could not convert"),
-    ("x1,x2\n\n1,2\n , \n3,4,5\n", "bad.csv:5: row has 3 columns, expected 2"),
-    ("\n\nx1,x3\n1,2\n", "bad.csv:3: expected header"),
+def _read_two_node_functions(path):
+    return read_function_csv(path, trapezoid_grid(2))
+
+
+@pytest.mark.parametrize("read,text,error,message", [
+    (read_points_csv, "x1,x2\n1,2\n\n3,4\n5,oops\n", ParseError, "bad.csv:5: could not convert"),
+    (read_points_csv, "x1,x2\n\n1,2\n , \n3,4,5\n", ParseError,
+     "bad.csv:5: row has 3 columns, expected 2"),
+    (read_points_csv, "\n\nx1,x3\n1,2\n", ParseError, "bad.csv:3: expected header"),
+    (_read_two_node_functions, "\n\n1,2,3\n", ShapeError,
+     "bad.csv:3: row has 3 columns, grid has 2 nodes"),
 ])
-def test_csv_errors_name_the_line_blank_lines_counted(tmp_path, text, message):
+def test_csv_errors_name_the_line_blank_lines_counted(tmp_path, read, text, error, message):
     path = write(tmp_path / "bad.csv", text)
-    with pytest.raises(ParseError, match=message):
-        read_points_csv(path)
+    with pytest.raises(error, match=message):
+        read(path)
 
 
 def test_write_gram_csv_matches_per_value_format(tmp_path, rng):
