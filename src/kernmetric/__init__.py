@@ -16,7 +16,6 @@ from .kernels import (
     Identity,
     KernelSpec,
     LinearGridMap,
-    gaussian_frequencies,
     make_distance_kernel,
     make_fourier_measure,
     make_kme_measure,

@@ -77,7 +77,7 @@ def _read_csv(path: str) -> List[Tuple[int, List[str]]]:
             reader = csv.reader(fh)
             return [(reader.line_num, row) for row in reader
                     if row and any(c.strip() for c in row)]
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -352,9 +352,12 @@ def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
         return K.make_kme_measure(phi, kernel_from_json(_value(rule, "k1"), grid))
     if kind == "fourier_measure":
         if rule.get("freqs") == "gaussian":
-            n, dim, seed = (_number(rule, key, default, integer=True)
-                            for key, default in (("n", 64), ("dim", 1), ("seed", 0)))
-            return K.make_fourier_measure(phi, *K.gaussian_frequencies(n, dim, seed))
+            # the exact limit of N(0, I) atoms: no atom count or seed moves the result
+            unknown = sorted(set(rule) - {"kind", "freqs", "dim"})
+            if unknown:
+                raise ParseError(f"unknown gaussian-frequency keys {unknown}")
+            base = Euclidean(_number(rule, "dim", 1, integer=True))
+            return K.make_kme_measure(phi, K.make_radial_hilbert(Gaussian(alpha=0.5), base))
         return K.make_fourier_measure(phi, _array(rule, "freqs", 2),
                                       _array(rule, "freq_weights", 1))
     if kind == "quantile_monge":

@@ -6,10 +6,10 @@ Every kernel is an immutable evaluation rule ``k(x, y)`` over a point
 space; evaluation is pure and symmetric by construction.  ``k.pairwise(xs,
 ys)`` evaluates the whole cross block of two point lists with array
 operations, and a scalar ``k(x, y)`` is its 1 x 1 block.  ``pairwise``
-checks and stacks each list once and rejects a block that is not finite; the
-rules compute only ``_block`` from the stacked points (``stack_points``).
-``k.diag(xs)`` evaluates k(x, x) at every point the same way, through the
-rule's ``_diag``.
+checks and stacks each list once and rejects a block that is not finite (the
+one guard on overflow: numpy's warnings are off inside it); the rules compute
+only ``_block`` from the stacked points (``stack_points``).  ``k.diag(xs)``
+evaluates k(x, x) at every point the same way, through the rule's ``_diag``.
 
 Seven rules are a completely monotone profile of a negative-type argument,
 k(x, y) = phi(arg(x, y)), and one class evaluates them all from the
@@ -28,6 +28,11 @@ argument block ``arg(xs, ys)``:
   (``make_metric_phi``).
 - ||Phi(mu) - Phi(nu)||^2 for the mean embedding Phi of a base kernel
   (``make_kme_measure``).
+
+With finitely many frequency atoms the Fourier rule is positive definite but
+characteristic only in the limit, as a quadrature grid is for L^p.  For
+N(0, I) atoms the limit is the mean-embedding rule over Gaussian(alpha=0.5)
+(Bochner), which the spec ``{"freqs": "gaussian"}`` builds.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ __all__ = [
     "make_kme_measure",
     "make_fourier_measure",
     "make_quantile_monge",
-    "gaussian_frequencies",
     "quantile_sq_w2",
 ]
 
@@ -95,12 +99,12 @@ class KernelSpec:
         """Cross block ``[[k(x, y) for y in ys] for x in xs]``; each list is checked and
         stacked once (once in all when ys is xs, as in every Gram matrix), and an
         entry that is not finite raises DomainError, so that no statistic is NaN."""
-        return _finite(self._block(*_rows_pair(partial(stack_points, self.space), xs, ys)))
+        return _finite(self._block, *_rows_pair(partial(stack_points, self.space), xs, ys))
 
     def diag(self, xs) -> np.ndarray:
         """The diagonal ``[k(x, x) for x in xs]``; xs is checked and stacked once, and an
         entry that is not finite raises DomainError, as in ``pairwise``."""
-        return _finite(self._diag(stack_points(self.space, xs)))
+        return _finite(self._diag, stack_points(self.space, xs))
 
     def _block(self, xs, ys) -> np.ndarray:
         """The cross block of two stacked point lists (``stack_points``)."""
@@ -115,8 +119,12 @@ class KernelSpec:
         return float(self.pairwise([x], [y])[0, 0])
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """values, or DomainError where one is not finite."""
+def _finite(rule: Callable, *points) -> np.ndarray:
+    """rule(*points), or DomainError where a value is not finite: the one guard on
+    overflow, so numpy's overflow warnings are off in the rule.  An infinite distance
+    is exact as a float, and a profile maps it to its exact limit phi(inf) = 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = rule(*points)
     if not np.all(np.isfinite(values)):
         raise DomainError(OVERFLOW)
     return values
@@ -426,24 +434,14 @@ def make_kme_measure(phi: PhiProfile, k1: KernelSpec) -> KernelSpec:
     return _KmeMeasure(phi, MeasurePoints(k1.space), partial(_kme_sq_dists, k1))
 
 
-def gaussian_frequencies(n: int, dim: int, seed: int) -> tuple:
-    """n standard-Gaussian frequency atoms with uniform weights 1/n."""
-    if n < 1 or dim < 1:
-        raise DomainError("need at least one frequency atom of positive dimension")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    freqs = rng.standard_normal((n, dim))
-    weights = np.full(n, 1.0 / n)
-    return freqs, weights
-
-
 def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:
     """Kernel on probability measures over R^d comparing Fourier transforms.
 
     Frequency atoms discretize the L^2(lambda) norm of the difference of
     characteristic functions: ``freqs`` holds the n atoms as rows and
-    ``freq_weights`` their n weights.
+    ``freq_weights`` their n weights.  The kernel is positive definite, but
+    characteristic only in the limit, as a quadrature grid is for L^p: one atom
+    omega = 1 gives k(delta_0, delta_{2 pi}) = k(delta_0, delta_0).
     """
     # copied, so that freezing it leaves the caller's array writeable
     fr = np.atleast_2d(np.array(freqs, dtype=float))

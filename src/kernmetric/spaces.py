@@ -297,15 +297,20 @@ def reduce_diffs(reduce, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     filled with its rows of xs repeated m times, and ys is subtracted in place,
     so that numpy's inner loop runs over all m * d entries of a row rather than
     over the d coordinates of one pair; the differences are the same bits.
+
+    numpy's overflow warnings are off: a difference or distance beyond the float
+    range is inf, its exact rounding, which the kernels map to phi(inf) = 0 or
+    refuse (``kernels._finite``), and which ``energy_distance`` refuses.
     """
     n, m = len(xs), len(ys)
     rows = max(1, DIFF_BLOCK // max(1, m * xs.shape[1]))
     out = np.empty((n, m))
-    for lo in range(0, n, rows):
-        diff = np.repeat(xs[lo:lo + rows, None, :], m, axis=1)
-        diff -= ys
-        out[lo:lo + rows] = reduce(diff)
-        del diff  # freed before the next block is made, so that its memory is reused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, rows):
+            diff = np.repeat(xs[lo:lo + rows, None, :], m, axis=1)
+            diff -= ys
+            out[lo:lo + rows] = reduce(diff)
+            del diff  # freed before the next block is made, so that its memory is reused
     return out
 
 

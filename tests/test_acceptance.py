@@ -26,7 +26,6 @@ from kernmetric import (
     dirac,
     energy_distance,
     expected_score,
-    gaussian_frequencies,
     gram,
     kme_sq_norm,
     make_distance_kernel,
@@ -179,7 +178,7 @@ def test_criterion_07_one_dim_monge():
 
 def test_criterion_08_fourier_exactness():
     rng = _rng()
-    freqs, fw = gaussian_frequencies(16, 2, seed=3)
+    freqs, fw = np.random.default_rng(3).standard_normal((16, 2)), np.full(16, 1 / 16)
     k = make_fourier_measure(PHI, freqs, fw)
     ok = True
     for _ in range(100):

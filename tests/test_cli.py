@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -10,13 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_prob_measure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernmetric import (DiscreteMeasure, DomainError, Euclidean, FuncLp, Gaussian, LpMetric,
-                        QuadratureGrid, ShapeError, gram, kernel_scores,
-                        make_distance_kernel, make_radial_hilbert, selfcheck, trapezoid_grid)
+                        MeasurePoints, QuadratureGrid, ShapeError, gram, kernel_scores,
+                        make_distance_kernel, make_fourier_measure, make_kme_measure,
+                        make_radial_hilbert, selfcheck, trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
+from kernmetric.spaces import stack_points
 from kernmetric.io import (
     ParseError,
     fmt,
@@ -727,6 +731,49 @@ def test_cli_mmd_scalar_frequency_weights_is_usage_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: 'freq_weights' must be")
 
 
+def _gaussian_frequency_spec(dim):
+    return {"rule": {"kind": "fourier_measure", "freqs": "gaussian", "dim": dim},
+            "phi": {"family": "gaussian", "alpha": 1.0}}
+
+
+def test_gaussian_frequency_spec_is_the_mean_embedding_rule(rng):
+    # Bochner: E_omega |mu^(omega) - nu^(omega)|^2 over omega ~ N(0, I) is the squared
+    # mean-embedding distance of exp(-||x - y||^2 / 2), Gaussian(alpha=0.5)
+    exact = make_kme_measure(Gaussian(alpha=1.0),
+                             make_radial_hilbert(Gaussian(alpha=0.5), Euclidean(2)))
+    ms = [random_prob_measure(rng, atoms=int(rng.integers(1, 5))) for _ in range(7)]
+    g = gram(kernel_from_json(_gaussian_frequency_spec(2)), ms).entries
+    assert g.tobytes() == gram(exact, ms).entries.tobytes()
+
+
+def test_gaussian_frequency_atoms_converge_to_the_spec():
+    """2^15 seeded N(0, I) atoms give the spec's argument to within 4 standard errors
+    of their mean over the atoms."""
+    n = 2 ** 15
+    freqs = np.random.default_rng(15).standard_normal((n, 2))
+    atoms = make_fourier_measure(PHI, freqs, np.full(n, 2.0 ** -15))
+    spec = kernel_from_json(_gaussian_frequency_spec(2))
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        mu, nu = (random_prob_measure(rng, atoms=3) for _ in range(2))
+        gap = sum(w * np.exp(1j * (freqs @ x)) for x, w in zip(mu.points, mu.weights)) \
+            - sum(w * np.exp(1j * (freqs @ x)) for x, w in zip(nu.points, nu.weights))
+        per_atom = np.abs(gap) ** 2
+        se = per_atom.std(ddof=1) / math.sqrt(n)
+        x, y = stack_points(spec.space, [mu]), stack_points(spec.space, [nu])
+        assert abs(atoms.arg(x, y)[0, 0] - spec.arg(x, y)[0, 0]) <= 4.0 * se
+
+
+@pytest.mark.parametrize("key", ["n", "seed"])
+def test_cli_gaussian_frequency_spec_takes_no_atom_count_or_seed(tmp_path, capsys, key):
+    spec = _gaussian_frequency_spec(1)
+    spec["rule"][key] = 64
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    x = write(tmp_path / "x.csv", "x1,weight\n0,1\n")
+    assert main(["mmd", "--kernel", kernel, "--x", x, "--y", x]) == 2
+    assert capsys.readouterr().err == f"error: unknown gaussian-frequency keys ['{key}']\n"
+
+
 @pytest.mark.parametrize("command", ["mmd", "test2", "score", "gram"])
 def test_cli_overflowing_kernel_values_are_data_error(tmp_path, capsys, command):
     # |x - z0| overflows when squared, so k(x, y) = inf + inf - inf
@@ -742,11 +789,37 @@ def test_cli_overflowing_kernel_values_are_data_error(tmp_path, capsys, command)
         "score": ["--forecast", measure, "--obs", points, "--out", out_file],
         "gram": ["--points", points, "--out", out_file],
     }[command]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        assert main([command, "--kernel", kernel, *args]) == 3
+    assert main([command, "--kernel", kernel, *args]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: kernel values overflow")
+    assert not Path(out_file).exists()
+
+
+#: three points whose distances overflow: 1e308 - (-1e308) is inf as a float
+_HUGE_POINTS = "x1,x2\n1e308,2\n-1e308,4\n5,6\n"
+
+
+def test_cli_gram_of_overflowing_distances_is_the_exact_limit(tmp_path, capsys):
+    # phi(inf) = 0 is the exact value of every off-diagonal entry; under the suite's
+    # error::RuntimeWarning filter a numpy overflow warning would escape main
+    points = write(tmp_path / "p.csv", _HUGE_POINTS)
+    out_file = str(tmp_path / "g.csv")
+    assert main(["gram", "--points", points, "--out", out_file]) == 0
+    assert capsys.readouterr().err == ""
+    np.testing.assert_array_equal(read_gram_csv(out_file), np.eye(3))
+
+
+def test_cli_distance_kernel_of_overflowing_distances_is_one_data_error(tmp_path, capsys):
+    # rho(x, z0) + rho(y, z0) - rho(x, y) is inf - inf: a typed error, and nothing else
+    spec = {"rule": {"kind": "distance", "metric": {"kind": "euclidean", "dim": 2},
+                     "z0": [0.0, 0.0]}}
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    points = write(tmp_path / "p.csv", _HUGE_POINTS)
+    out_file = str(tmp_path / "g.csv")
+    assert main(["gram", "--kernel", kernel, "--points", points, "--out", out_file]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: kernel values overflow")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not Path(out_file).exists()
 
 
@@ -770,7 +843,26 @@ _SPECS = [
                     "phi": {"family": "exp_sqrt", "c": 1.0}}, "weight": 1.5}]}},
     {"rule": {"kind": "fourier_measure", "freqs": [[0.5], [1.0]], "freq_weights": [0.25, 0.75]},
      "phi": {"family": "gaussian", "alpha": 1.0}},
+    {"rule": {"kind": "fourier_measure", "freqs": "gaussian", "dim": 1}},
 ]
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec["rule"]["kind"])
+def test_cli_listed_specs_build_and_run_mmd(tmp_path, capsys, spec):
+    """Each valid spec builds a kernel; one on points runs mmd, and one on measures
+    is refused for the points of a measure file."""
+    k = kernel_from_json(spec)
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    x = write(tmp_path / "x.csv", "x1,weight\n0,0.5\n1,0.5\n")
+    y = write(tmp_path / "y.csv", "x1,weight\n0.5,1\n")
+    code = main(["mmd", "--kernel", kernel, "--x", x, "--y", y])
+    out, err = capsys.readouterr()
+    if isinstance(k.space, MeasurePoints):
+        assert code == 3 and out == ""
+        assert err.startswith("error: the kernel does not take the data's points")
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(out)["mmd"] > 0.0
 
 
 def _paths(node, prefix=()):
@@ -852,6 +944,15 @@ def test_cli_binary_input_is_usage_error(tmp_path, capsys):
     assert main(_csv_route(tmp_path, "test2", str(bad))) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "can't decode" in err
+
+
+@pytest.mark.parametrize("route", ["test2", "score", "mmd", "forecast", "grid", "functions"])
+def test_cli_csv_field_over_the_limit_is_usage_error(tmp_path, capsys, route):
+    rows = [_ROUTE_HEADERS[route]] if _ROUTE_HEADERS[route] else []
+    big = write(tmp_path / "big.csv", "\n".join([*rows, "1" * 200000]) + "\n")
+    assert main(_csv_route(tmp_path, route, big)) == 2
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == f"error: {big}: field larger than field limit ({limit})\n"
 
 
 @pytest.mark.parametrize("alpha,message", [("x", "must be a number"), (10**400, "is out of range")],

@@ -23,7 +23,6 @@ from kernmetric import (
     ProfileClassError,
     ShapeError,
     dirac,
-    gaussian_frequencies,
     gram,
     make_distance_kernel,
     make_fourier_measure,
@@ -402,16 +401,24 @@ def test_kme_blocks_do_not_depend_on_diff_block(signed, monkeypatch):
             assert np.array_equal(a, b)
 
 
+def _gaussian_atoms(n: int, dim: int, seed: int) -> tuple:
+    """n seeded standard-Gaussian frequency atoms, each of weight 1/n."""
+    return np.random.default_rng(seed).standard_normal((n, dim)), np.full(n, 1 / n)
+
+
 def test_fourier_measure_single_frequency():
     k = make_fourier_measure(Gaussian(alpha=1.0), [[1.0]], [1.0])
     mu = dirac(E1, one_d(0.0))
     nu = dirac(E1, one_d(math.pi))
     assert k(mu, mu) == 1.0
     assert k(mu, nu) == pytest.approx(math.exp(-4.0), rel=1e-12)
+    # one atom misses every difference whose characteristic function vanishes on it:
+    # not characteristic
+    assert abs(k(mu, dirac(E1, one_d(2.0 * math.pi))) - k(mu, mu)) <= 1e-15
 
 
 def test_fourier_measure_matches_trig_oracle(rng):
-    freqs, fw = gaussian_frequencies(64, 1, seed=7)
+    freqs, fw = _gaussian_atoms(64, 1, seed=7)
     k = make_fourier_measure(PHI, freqs, fw)
     for _ in range(10):
         mu = random_prob_measure(rng, dim=1, atoms=5)
@@ -434,7 +441,7 @@ def test_fourier_measure_weight_normalization():
 
 
 def test_fourier_measure_leaves_caller_arrays_writeable():
-    freqs, fw = gaussian_frequencies(4, 1, seed=0)
+    freqs, fw = _gaussian_atoms(4, 1, seed=0)
     k = make_fourier_measure(PHI, freqs, fw)
     assert freqs.flags.writeable and fw.flags.writeable
     mu, nu = dirac(E1, one_d(0.0)), dirac(E1, one_d(1.0))
@@ -460,13 +467,6 @@ def test_linear_grid_map_leaves_caller_matrix_writeable():
 def test_fourier_measure_rejects_malformed_frequencies(freqs, weights, error):
     with pytest.raises(error):
         make_fourier_measure(PHI, freqs, weights)
-
-
-def test_fourier_frequencies_deterministic():
-    f1, w1 = gaussian_frequencies(16, 2, seed=7)
-    f2, w2 = gaussian_frequencies(16, 2, seed=7)
-    np.testing.assert_array_equal(f1, f2)
-    np.testing.assert_array_equal(w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +613,7 @@ def _kernels():
         # unless k(mu, mu) is exactly phi(0)
         ("kme_measure", make_kme_measure(ExpSqrt(c=1.0), make_radial_hilbert(Gaussian(1.0), E2)),
          lambda rng: random_prob_measure(rng, atoms=int(rng.integers(1, 25)))),
-        ("fourier_measure", make_fourier_measure(PHI, *gaussian_frequencies(16, 2, seed=3)),
+        ("fourier_measure", make_fourier_measure(PHI, *_gaussian_atoms(16, 2, seed=3)),
          lambda rng: random_prob_measure(rng, atoms=int(rng.integers(1, 5)))),
         ("quantile_monge", make_quantile_monge(PHI, u_grid()),
          lambda rng: random_prob_measure(rng, dim=1, atoms=int(rng.integers(1, 5)))),

@@ -101,6 +101,28 @@ def test_monotonicity_check_rejects_bad_grids():
         complete_monotonicity_check(Gaussian(alpha=1.0), [0.0, 1.0], 7)
 
 
+def test_monotonicity_check_takes_orders_up_to_six():
+    grid = np.arange(0.0, 5.5, 0.5)
+    assert complete_monotonicity_check(Gaussian(alpha=1.0), grid, max_order=6)
+    with pytest.raises(DomainError):
+        complete_monotonicity_check(Gaussian(alpha=1.0), grid, max_order=7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: Gaussian(alpha=v),
+    lambda v: ExpSqrt(c=v),
+    lambda v: InverseRational(beta=v, scale=1.0),
+    lambda v: InverseRational(beta=1.0, scale=v),
+    lambda v: DiscreteLaplace(atoms=((v, 1.0),)),
+    lambda v: DiscreteLaplace(atoms=((1.0, v),)),
+], ids=["gaussian_alpha", "exp_sqrt_c", "inverse_rational_beta", "inverse_rational_scale",
+        "discrete_laplace_rate", "discrete_laplace_weight"])
+def test_infinite_parameter_rejected(make):
+    make(2.0)
+    with pytest.raises(DomainError, match="finite"):
+        make(math.inf)
+
+
 def _inverse_rational_closed_form(beta: float, scale: float, t: float) -> float:
     """exp(-beta * log(1 + t / scale)), evaluated in 60-digit decimal arithmetic."""
     with decimal.localcontext(decimal.Context(prec=60)):

@@ -461,5 +461,13 @@ def test_energy_distance_overflow_is_domain_error(p_atoms):
     far = np.array([1e200, 0.0])
     p = DiscreteMeasure(E2, (far, np.zeros(2))[:p_atoms], np.full(p_atoms, 1.0 / p_atoms))
     q = dirac(E2, np.ones(2))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="overflow"):
+    with pytest.raises(DomainError, match="overflow"):
         energy_distance(EuclideanMetric(2), p, q)
+
+
+def test_energy_distance_of_an_overflowing_difference_is_one_domain_error():
+    # 1e308 - (-1e308) is inf as a float: no numpy warning, which the suite makes an
+    # error, before the typed one
+    p = DiscreteMeasure(E2, np.array([[1e308, 2.0], [-1e308, 4.0]]), np.full(2, 0.5))
+    with pytest.raises(DomainError, match="overflow"):
+        energy_distance(EuclideanMetric(2), p, dirac(E2, np.array([5.0, 6.0])))
