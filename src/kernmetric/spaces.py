@@ -297,10 +297,9 @@ def reduce_diffs(reduce, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     filled with its rows of xs repeated m times, and ys is subtracted in place,
     so that numpy's inner loop runs over all m * d entries of a row rather than
     over the d coordinates of one pair; the differences are the same bits.
-
-    numpy's overflow warnings are off: a difference or distance beyond the float
-    range is inf, its exact rounding, which the kernels map to phi(inf) = 0 or
-    refuse (``kernels._finite``), and which ``energy_distance`` refuses.
+    numpy's overflow warnings are off: a difference past the float range is inf,
+    its exact rounding, which a profile maps to phi(inf) = 0 or a caller's
+    finiteness check refuses.
     """
     n, m = len(xs), len(ys)
     rows = max(1, DIFF_BLOCK // max(1, m * xs.shape[1]))

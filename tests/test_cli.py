@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_prob_measure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from kernmetric import (DiscreteMeasure, DomainError, Euclidean, FuncLp, Gaussia
                         make_distance_kernel, make_fourier_measure, make_kme_measure,
                         make_radial_hilbert, selfcheck, trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
-from kernmetric.spaces import stack_points
 from kernmetric.io import (
     ParseError,
     fmt,
@@ -33,6 +31,9 @@ from kernmetric.io import (
     write_gram_csv,
     write_grid_csv,
 )
+from kernmetric.spaces import stack_points
+
+from conftest import random_prob_measure
 
 PHI = Gaussian(alpha=0.5)
 

@@ -466,8 +466,7 @@ def test_energy_distance_overflow_is_domain_error(p_atoms):
 
 
 def test_energy_distance_of_an_overflowing_difference_is_one_domain_error():
-    # 1e308 - (-1e308) is inf as a float: no numpy warning, which the suite makes an
-    # error, before the typed one
+    # 1e308 - (-1e308) overflows to inf quietly: the suite makes a numpy warning an error
     p = DiscreteMeasure(E2, np.array([[1e308, 2.0], [-1e308, 4.0]]), np.full(2, 0.5))
     with pytest.raises(DomainError, match="overflow"):
         energy_distance(EuclideanMetric(2), p, dirac(E2, np.array([5.0, 6.0])))
