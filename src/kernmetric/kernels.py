@@ -6,10 +6,10 @@ Every kernel is an immutable evaluation rule ``k(x, y)`` over a point
 space; evaluation is pure and symmetric by construction.  ``k.pairwise(xs,
 ys)`` evaluates the whole cross block of two point lists with array
 operations, and a scalar ``k(x, y)`` is its 1 x 1 block.  ``pairwise``
-checks and stacks each list once and rejects a block that is not finite (the
-one guard on overflow: numpy's warnings are off inside it); the rules compute
-only ``_block`` from the stacked points (``stack_points``).  ``k.diag(xs)``
-evaluates k(x, x) at every point the same way, through the rule's ``_diag``.
+checks and stacks each list once and rejects a block that is not finite; the
+rules compute only ``_block`` from the stacked points (``stack_points``).
+``k.diag(xs)`` evaluates k(x, x) at every point the same way, through the
+rule's ``_diag``.
 
 Seven rules are a completely monotone profile of a negative-type argument,
 k(x, y) = phi(arg(x, y)), and one class evaluates them all from the
@@ -99,12 +99,12 @@ class KernelSpec:
         """Cross block ``[[k(x, y) for y in ys] for x in xs]``; each list is checked and
         stacked once (once in all when ys is xs, as in every Gram matrix), and an
         entry that is not finite raises DomainError, so that no statistic is NaN."""
-        return _finite(self._block, *_rows_pair(partial(stack_points, self.space), xs, ys))
+        return _finite(self._block(*_rows_pair(partial(stack_points, self.space), xs, ys)))
 
     def diag(self, xs) -> np.ndarray:
         """The diagonal ``[k(x, x) for x in xs]``; xs is checked and stacked once, and an
         entry that is not finite raises DomainError, as in ``pairwise``."""
-        return _finite(self._diag, stack_points(self.space, xs))
+        return _finite(self._diag(stack_points(self.space, xs)))
 
     def _block(self, xs, ys) -> np.ndarray:
         """The cross block of two stacked point lists (``stack_points``)."""
@@ -119,12 +119,8 @@ class KernelSpec:
         return float(self.pairwise([x], [y])[0, 0])
 
 
-def _finite(rule: Callable, *points) -> np.ndarray:
-    """rule(*points), or DomainError where a value is not finite: the one guard on
-    overflow, so numpy's overflow warnings are off in the rule.  An infinite distance
-    is exact as a float, and a profile maps it to its exact limit phi(inf) = 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = rule(*points)
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, or DomainError where one is not finite: the one guard on overflow."""
     if not np.all(np.isfinite(values)):
         raise DomainError(OVERFLOW)
     return values
@@ -316,7 +312,9 @@ class _DistanceKernel(KernelSpec):
 
     def _block(self, xs, ys) -> np.ndarray:
         rho = partial(metric_dists, self.metric)
-        return rho(xs, self.z0) + rho(self.z0, ys) - rho(xs, ys)
+        # inf - inf where distances overflow: NaN, which ``_finite`` refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rho(xs, self.z0) + rho(self.z0, ys) - rho(xs, ys)
 
     def _diag(self, xs) -> np.ndarray:
         # rho(x, x) is exactly 0 and rho(x, z0) + rho(z0, x) exactly 2 rho(x, z0)
