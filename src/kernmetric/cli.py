@@ -18,8 +18,7 @@ from . import io as kio
 from .embeddings import gram
 from .errors import KernmetricError, ShapeError
 from .io import ParseError
-from .selfcheck import run_selfcheck
-from .spaces import Euclidean, FuncLp, trapezoid_grid
+from .spaces import Euclidean, FuncLp
 from .stats import kernel_scores, mmd, permutation_test
 
 EXIT_OK = 0
@@ -206,8 +205,6 @@ def cmd_test2(args) -> int:
     grid = _load_grid(args)
     xs, space = _load_sample_list(args.x, grid)
     ys, _ = _load_sample_list(args.y, grid)
-    if len(xs) < 2 or len(ys) < 2:
-        raise ShapeError("both sample files need at least 2 rows")
     k = _load_kernel(args, space, grid)
     result = permutation_test(k, xs, ys, n_perm=args.perms, seed=args.seed)
     verdict = "REJECT" if result.p_value <= args.alpha else "FAIL-TO-REJECT"
@@ -222,11 +219,7 @@ def cmd_test2(args) -> int:
 def cmd_score(args) -> int:
     _require(args, "forecast", "obs", "out")
     forecast = kio.read_measure_csv(args.forecast)
-    if not forecast.is_probability:
-        raise ShapeError(f"{args.forecast}: forecast is not a probability measure")
     obs = kio.read_points_csv(args.obs)
-    if obs.shape[1] != forecast.space.dim:
-        raise ShapeError("observation dimension does not match the forecast")
     k = _load_kernel(args, forecast.space)
     scores = kernel_scores(k, forecast, obs)
     lines = ["score"]
@@ -234,37 +227,6 @@ def cmd_score(args) -> int:
     lines.append("mean," + kio.fmt(float(np.mean(scores))))
     kio.write_atomic(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _scenario_value(scenario: dict, key: str, default, integer: bool):
-    """scenario[key] (default when absent), which must be a nonnegative JSON
-    integer, or any nonnegative JSON number when integer is False."""
-    val = scenario.get(key, default)
-    number = int if integer else (int, float)
-    if isinstance(val, bool) or not isinstance(val, number) or not val >= 0:
-        kind = "integer" if integer else "number"
-        raise UsageError(f"scenario {key!r} must be a nonnegative {kind}, got {val!r}")
-    return val
-
-
-def _read_scenario(path: str):
-    """(space, shifts, n, m, noise) from a scenario file, each value checked."""
-    scenario = _read_json(path)
-    if not isinstance(scenario, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    kind = scenario.get("kind")
-    if kind == "euclidean_mean_shift":
-        space = Euclidean(_scenario_value(scenario, "dim", 1, integer=True))
-    elif kind == "function_mean_shift":
-        space = FuncLp(trapezoid_grid(_scenario_value(scenario, "grid_m", 8, integer=True)), 2.0)
-    else:
-        raise UsageError(f"unknown scenario kind {kind!r}")
-    shifts = scenario.get("shifts", [0.0, 0.5, 1.0])
-    if not isinstance(shifts, list) or any(
-            isinstance(s, bool) or not isinstance(s, (int, float)) for s in shifts):
-        raise UsageError(f"scenario 'shifts' must be a list of numbers, got {shifts!r}")
-    n, m = (_scenario_value(scenario, key, 20, integer=True) for key in ("n", "m"))
-    return space, shifts, n, m, _scenario_value(scenario, "noise", 1.0, integer=False)
 
 
 def _scenario_samples(space, n: int, m: int, noise: float, shift: float, rng):
@@ -281,7 +243,7 @@ def cmd_power(args) -> int:
     _check_test_flags(args)
     if not args.scenario:
         raise UsageError("--scenario is required")
-    space, shifts, n, m, noise = _read_scenario(args.scenario)
+    space, shifts, n, m, noise = kio.scenario_from_json(_read_json(args.scenario))
     grid = _load_grid(args)
     k = _load_kernel(args, space, grid)
     lines = ["shift,rejection_rate,trials,mc_stderr"]
@@ -292,7 +254,7 @@ def cmd_power(args) -> int:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(args.seed, shift_index, trial))
             )
-            xs, ys = _scenario_samples(space, n, m, noise, float(shift), rng)
+            xs, ys = _scenario_samples(space, n, m, noise, shift, rng)
             res = permutation_test(
                 k, xs, ys, n_perm=args.perms, seed=int(rng.integers(2**32))
             )
@@ -301,13 +263,15 @@ def cmd_power(args) -> int:
         rate = rejections / args.trials
         stderr = float(np.sqrt(rate * (1.0 - rate) / args.trials))
         lines.append(
-            f"{kio.fmt(float(shift))},{kio.fmt(rate)},{args.trials},{kio.fmt(stderr)}"
+            f"{kio.fmt(shift)},{kio.fmt(rate)},{args.trials},{kio.fmt(stderr)}"
         )
     kio.write_atomic(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck  # here, so that no other command pays its import
+
     ok = run_selfcheck()
     return EXIT_OK if ok else EXIT_SELFCHECK
 

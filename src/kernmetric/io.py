@@ -41,6 +41,7 @@ __all__ = [
     "kernel_from_json",
     "profile_from_json",
     "profile_to_json",
+    "scenario_from_json",
     "default_kernel",
 ]
 
@@ -139,8 +140,7 @@ def read_grid_csv(path: str) -> QuadratureGrid:
             raise ParseError(f"{path}:{lineno}: expected header 'node,weight'")
 
     _, arr = _table(path, check)
-    nodes, weights = arr[:, 0], arr[:, 1]
-    return QuadratureGrid(nodes, weights, (float(nodes[0]), float(nodes[-1])))
+    return QuadratureGrid(arr[:, 0], arr[:, 1])
 
 
 def write_grid_csv(path: str, grid: QuadratureGrid):
@@ -183,16 +183,27 @@ def read_gram_csv(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernel-spec JSON: every value is read as the JSON type it must have, and a
-# value of another type raises ParseError
+# kernel-spec and scenario JSON: each object is read by ``_read``, which refuses a
+# key outside its kind, and each value as the JSON type it must have (ParseError)
 
 _REQUIRED = object()
 
 
-def _object(val, what: str) -> dict:
+def _read(val, what: str, kinds: dict, tag: Optional[str] = "kind", default=None):
+    """The kind of val, a JSON object (a what) whose kind is val[tag] (default when
+    absent; None for tag None) and whose other keys are among that kind's in kinds,
+    a table of each kind's keys.  Any other kind or key raises ParseError naming it."""
     if not isinstance(val, dict):
         raise ParseError(f"{what} must be a JSON object, got {val!r}")
-    return val
+    kind = None if tag is None else val.get(tag, default)
+    try:
+        keys = kinds[kind]
+    except (KeyError, TypeError):  # TypeError: a kind that is a JSON list or object
+        raise ParseError(f"unknown {what} {tag} {kind!r}") from None
+    for key in val:
+        if key != tag and key not in keys:
+            raise ParseError(f"unknown key {key!r} in {what}" + (f" {kind!r}" if tag else ""))
+    return kind
 
 
 def _value(obj: dict, key: str, default=_REQUIRED):
@@ -234,6 +245,8 @@ def _array(obj: dict, key: str, ndim: int) -> np.ndarray:
     if numbers(val, ndim):
         try:
             return np.asarray(val, dtype=float)
+        except OverflowError as exc:  # a JSON integer beyond the double range
+            raise ParseError(f"{key!r} is out of range, got {val!r}") from exc
         except ValueError:  # rows of unequal length
             pass
     raise ParseError(f"{key!r} must be a nonempty {ndim}-D array of numbers, got {val!r}")
@@ -245,25 +258,30 @@ _PROFILES = {
     "exp_sqrt": ExpSqrt,
     "inverse_rational": InverseRational,
 }
+_PROFILE_KEYS = {name: tuple(f.name for f in fields(cls)) for name, cls in _PROFILES.items()}
+_SPACES = {"euclidean": ("dim",), "func_lp": ("grid", "p"), "measure": ("base",)}
+_METRICS = {"euclidean": ("dim",), "lp": ("grid", "p")}
+_MAPS = {"identity": (), "diagonal_scale": ("factors",), "linear_grid_map": ("matrix",)}
+_RULES = {"radial_hilbert": (), "tee_radial": ("map",), "lp_operator": ("grid", "k1", "p"),
+          "metric_phi": ("metric",), "distance": ("metric", "z0"), "mixture": ("components",),
+          "kme_measure": ("k1",), "fourier_measure": ("freqs", "freq_weights"),
+          "quantile_monge": ("u_grid",)}
+#: the rules of a rule object whose "freqs" is "gaussian": that Fourier rule is the exact
+#: limit of N(0, I) atoms on R^dim, which no atom count or seed moves
+_GAUSSIAN_RULES = {**_RULES, "fourier_measure": ("freqs", "dim")}
+_SCENARIOS = {"euclidean_mean_shift": ("dim", "n", "m", "noise", "shifts"),
+              "function_mean_shift": ("grid_m", "n", "m", "noise", "shifts")}
 
 
 def profile_from_json(obj) -> PhiProfile:
     """Build a profile from its JSON object form, e.g. {"family": "gaussian", "alpha": 0.5}."""
-    obj = _object(obj, "profile")
-    family = _value(obj, "family")
-    if not isinstance(family, str) or family not in _PROFILES:
-        raise ParseError(f"unknown profile family {family!r}")
-    cls = _PROFILES[family]
-    params = [k for k in obj if k != "family"]
-    unknown = sorted(set(params) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ParseError(f"unknown {family} parameters {unknown}")
-    if cls is DiscreteLaplace:
+    family = _read(obj, "profile", _PROFILE_KEYS, tag="family")
+    if family == "discrete_laplace":
         atoms = _array(obj, "atoms", 2)
         if atoms.shape[1] != 2:
             raise ParseError(f"'atoms' must be [rate, weight] pairs, got {obj['atoms']!r}")
         return DiscreteLaplace(tuple(map(tuple, atoms)))
-    return cls(**{k: _number(obj, k) for k in params})
+    return _PROFILES[family](**{k: _number(obj, k) for k in obj if k != "family"})
 
 
 def profile_to_json(profile: PhiProfile) -> dict:
@@ -277,41 +295,45 @@ def profile_to_json(profile: PhiProfile) -> dict:
     return {"family": family, **params}
 
 
-def _space_from_json(obj, grid: QuadratureGrid = None):
-    obj = _object(obj, "space")
-    kind = obj.get("kind")
+def _grid(obj: dict, key: str, grid: Optional[QuadratureGrid], default=None) -> QuadratureGrid:
+    """The grid of a function-valued object: the --grid grid when given, else the
+    inline grid obj[key] (default when absent), an object of nodes and weights or of
+    the m nodes of a trapezoid rule on [a, b]."""
+    if grid is not None:
+        return grid
+    val = obj.get(key, default)
+    if val is None:
+        raise ParseError("a grid is required (inline or via --grid)")
+    explicit = isinstance(val, dict) and "nodes" in val
+    _read(val, "grid", {None: ("nodes", "weights") if explicit else ("m", "a", "b")}, tag=None)
+    if explicit:
+        return QuadratureGrid(_array(val, "nodes", 1), _array(val, "weights", 1))
+    return trapezoid_grid(_number(val, "m", integer=True), _number(val, "a", 0.0),
+                          _number(val, "b", 1.0))
+
+
+def _space_from_json(obj, grid: Optional[QuadratureGrid]):
+    kind = _read(obj, "space", _SPACES)
     if kind == "euclidean":
         return Euclidean(_number(obj, "dim", integer=True))
     if kind == "func_lp":
-        g = grid if grid is not None else _grid_from_json(obj.get("grid"))
-        return FuncLp(g, _number(obj, "p", 2.0))
-    if kind == "measure":
-        return MeasurePoints(_space_from_json(_value(obj, "base"), grid))
-    raise ParseError(f"unknown space kind {kind!r}")
+        return FuncLp(_grid(obj, "grid", grid), _number(obj, "p", 2.0))
+    return MeasurePoints(_space_from_json(_value(obj, "base"), grid))
 
 
-def _grid_from_json(obj):
-    if obj is None:
-        raise ParseError("a grid is required (inline or via --grid)")
-    obj = _object(obj, "grid")
-    if "nodes" in obj:
-        nodes, weights = _array(obj, "nodes", 1), _array(obj, "weights", 1)
-        return QuadratureGrid(nodes, weights, (float(nodes[0]), float(nodes[-1])))
-    if "m" in obj:
-        return trapezoid_grid(_number(obj, "m", integer=True), _number(obj, "a", 0.0),
-                              _number(obj, "b", 1.0))
-    raise ParseError(f"cannot interpret grid spec {obj!r}")
-
-
-def _metric_from_json(obj, grid: QuadratureGrid = None):
-    obj = _object(obj, "metric")
-    kind = obj.get("kind", "euclidean")
-    if kind == "euclidean":
+def _metric_from_json(obj, grid: Optional[QuadratureGrid]):
+    if _read(obj, "metric", _METRICS, default="euclidean") == "euclidean":
         return EuclideanMetric(_number(obj, "dim", 1, integer=True))
-    if kind == "lp":
-        g = grid if grid is not None else _grid_from_json(obj.get("grid"))
-        return LpMetric(g, _number(obj, "p", 2.0))
-    raise ParseError(f"unknown metric kind {kind!r}")
+    return LpMetric(_grid(obj, "grid", grid), _number(obj, "p", 2.0))
+
+
+def _map_from_json(obj) -> K.MapSpec:
+    kind = _read(obj, "map", _MAPS)
+    if kind == "identity":
+        return K.Identity()
+    if kind == "diagonal_scale":
+        return K.DiagonalScale(tuple(_array(obj, "factors", 1)))
+    return K.LinearGridMap(_array(obj, "matrix", 2))
 
 
 def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
@@ -320,21 +342,20 @@ def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
     Layout: {"space": {...}, "rule": {"kind": ..., ...}, "phi": {...}}.
     A grid loaded from --grid, when given, backs function-valued spaces.
     """
-    spec = _object(spec, "kernel spec")
-    rule = _object(spec.get("rule", {}), "rule")
-    kind = rule.get("kind")
+    _read(spec, "kernel spec", {None: ("space", "rule", "phi")}, tag=None)
+    rule = spec.get("rule", {})
+    gaussian = isinstance(rule, dict) and rule.get("freqs") == "gaussian"
+    kind = _read(rule, "rule", _GAUSSIAN_RULES if gaussian else _RULES)
     phi = profile_from_json(spec["phi"]) if "phi" in spec else Gaussian(alpha=0.5)
 
     if kind == "radial_hilbert":
         return K.make_radial_hilbert(phi, _space_from_json(_value(spec, "space"), grid))
     if kind == "tee_radial":
         space = _space_from_json(_value(spec, "space"), grid)
-        return K.make_tee_radial(phi, _map_from_json(rule), space)
+        return K.make_tee_radial(phi, _map_from_json(rule.get("map", {"kind": "identity"})), space)
     if kind == "lp_operator":
-        g = grid if grid is not None else _grid_from_json(rule.get("grid"))
-        k1 = kernel_from_json(rule["k1"], grid) if "k1" in rule else K.make_radial_hilbert(
-            Gaussian(alpha=0.5), Euclidean(1)
-        )
+        g = _grid(rule, "grid", grid)
+        k1 = kernel_from_json(rule["k1"], grid) if "k1" in rule else default_kernel(Euclidean(1))
         return K.make_lp_operator(phi, k1, g, _number(rule, "p"))
     if kind == "metric_phi":
         return K.make_metric_phi(phi, _metric_from_json(rule.get("metric", {}), grid))
@@ -345,37 +366,39 @@ def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
         comps = _value(rule, "components")
         if not isinstance(comps, list):
             raise ParseError(f"'components' must be a list, got {comps!r}")
-        comps = [_object(c, "mixture component") for c in comps]
+        for c in comps:
+            _read(c, "mixture component", {None: ("kernel", "weight")}, tag=None)
         return K.make_mixture([(kernel_from_json(_value(c, "kernel"), grid), _number(c, "weight"))
                                for c in comps])
     if kind == "kme_measure":
         return K.make_kme_measure(phi, kernel_from_json(_value(rule, "k1"), grid))
     if kind == "fourier_measure":
-        if rule.get("freqs") == "gaussian":
-            # the exact limit of N(0, I) atoms: no atom count or seed moves the result
-            unknown = sorted(set(rule) - {"kind", "freqs", "dim"})
-            if unknown:
-                raise ParseError(f"unknown gaussian-frequency keys {unknown}")
+        if gaussian:
             base = Euclidean(_number(rule, "dim", 1, integer=True))
             return K.make_kme_measure(phi, K.make_radial_hilbert(Gaussian(alpha=0.5), base))
         return K.make_fourier_measure(phi, _array(rule, "freqs", 2),
                                       _array(rule, "freq_weights", 1))
-    if kind == "quantile_monge":
-        g = grid if grid is not None else _grid_from_json(rule.get("u_grid", {"m": 64}))
-        return K.make_quantile_monge(phi, g)
-    raise ParseError(f"unknown kernel rule kind {kind!r}")
+    return K.make_quantile_monge(phi, _grid(rule, "u_grid", grid, {"m": 64}))
 
 
-def _map_from_json(rule: dict) -> K.MapSpec:
-    t = _object(rule.get("map", {"kind": "identity"}), "map")
-    kind = t.get("kind")
-    if kind == "identity":
-        return K.Identity()
-    if kind == "diagonal_scale":
-        return K.DiagonalScale(tuple(_array(t, "factors", 1)))
-    if kind == "linear_grid_map":
-        return K.LinearGridMap(_array(t, "matrix", 2))
-    raise ParseError(f"unknown map kind {kind!r}")
+def scenario_from_json(obj) -> tuple:
+    """(space, shifts, n, m, noise) of a power-curve scenario object.
+
+    The sample sizes n and m and the space's dim or grid_m are nonnegative JSON
+    integers, noise a nonnegative number and shifts a list of numbers, read as floats."""
+    euclidean = _read(obj, "scenario", _SCENARIOS) == "euclidean_mean_shift"
+    values = {key: _number(obj, key, default, integer=key != "noise") for key, default in
+              (("dim", 1) if euclidean else ("grid_m", 8), ("n", 20), ("m", 20), ("noise", 1.0))}
+    for key, val in values.items():
+        if not val >= 0:
+            raise ParseError(f"{key!r} must be nonnegative, got {val!r}")
+    d, n, m, noise = values.values()
+    shifts = _value(obj, "shifts", [0.0, 0.5, 1.0])
+    if not isinstance(shifts, list):
+        raise ParseError(f"'shifts' must be a list of numbers, got {shifts!r}")
+    shifts = [_number({"shifts": s}, "shifts") for s in shifts]
+    space = Euclidean(d) if euclidean else FuncLp(trapezoid_grid(d), 2.0)
+    return space, shifts, n, m, noise
 
 
 def default_kernel(space) -> K.KernelSpec:

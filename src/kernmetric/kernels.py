@@ -466,8 +466,7 @@ def _fourier_features(freqs: np.ndarray, scale: np.ndarray, measures: tuple) -> 
 
 def make_quantile_monge(phi: PhiProfile, u_grid: QuadratureGrid) -> KernelSpec:
     """Kernel on 1-D probability measures through the quantile embedding."""
-    a, b = u_grid.domain
-    if not (a >= 0.0 and b <= 1.0):
+    if not (u_grid.nodes[0] >= 0.0 and u_grid.nodes[-1] <= 1.0):
         raise DomainError("u_grid must discretize [0, 1]")
     return _ProfileKernel(phi, _LINE_MEASURES, _quantile_sq_dists)
 

@@ -42,7 +42,6 @@ class QuadratureGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         # copied, so that freezing them leaves the caller's arrays writeable
@@ -62,7 +61,6 @@ class QuadratureGrid:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
 
     def __len__(self):
         return self.nodes.size
@@ -70,14 +68,13 @@ class QuadratureGrid:
     def __eq__(self, other):
         return (
             isinstance(other, QuadratureGrid)
-            and self.domain == other.domain
             and np.array_equal(self.nodes, other.nodes)
             and np.array_equal(self.weights, other.weights)
         )
 
     def __hash__(self):
         # + 0.0 reads a node -0.0 as 0.0, so that equal grids hash alike
-        return hash((self.domain, (self.nodes + 0.0).tobytes(), self.weights.tobytes()))
+        return hash(((self.nodes + 0.0).tobytes(), self.weights.tobytes()))
 
 
 def trapezoid_grid(m: int, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
@@ -88,7 +85,7 @@ def trapezoid_grid(m: int, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
     h = (b - a) / (m - 1)
     weights = np.full(m, h)
     weights[0] = weights[-1] = h / 2
-    return QuadratureGrid(nodes, weights, (a, b))
+    return QuadratureGrid(nodes, weights)
 
 
 @dataclass(frozen=True)

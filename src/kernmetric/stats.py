@@ -106,7 +106,6 @@ def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray
 
 def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> float:
     """Expected kernel score of forecast q under outcome distribution p."""
-    _require_probability(q, "forecast")
     _require_probability(p, "outcome distribution")
     return float(p.weights @ kernel_scores(k, q, p.points))
 

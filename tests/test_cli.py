@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from kernmetric import (DiscreteMeasure, DomainError, Euclidean, FuncLp, Gaussian, LpMetric,
                         MeasurePoints, QuadratureGrid, ShapeError, gram, kernel_scores,
                         make_distance_kernel, make_fourier_measure, make_kme_measure,
-                        make_radial_hilbert, selfcheck, trapezoid_grid)
+                        make_lp_operator, make_radial_hilbert, selfcheck, trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
 from kernmetric.io import (
     ParseError,
@@ -232,7 +231,7 @@ def test_cli_kernel_must_take_the_data_points(tmp_path, capsys, case):
     m = 4
     grid = tmp_path / "grid.csv"
     nodes, weights = [0.0, 0.2, 0.7, 1.0], [0.1, 0.35, 0.4, 0.15]
-    write_grid_csv(str(grid), QuadratureGrid(np.array(nodes), np.array(weights), (0.0, 1.0)))
+    write_grid_csv(str(grid), QuadratureGrid(np.array(nodes), np.array(weights)))
     rows = "".join(",".join(fmt(v) for v in row) + "\n"
                    for row in np.random.default_rng(0).normal(size=(5, m)))
     if case == "function_rows_euclidean_kernel":
@@ -328,6 +327,17 @@ def test_cli_test2_non_finite_point_is_data_error(tmp_path, kernel_file, capsys,
     assert code == 3
     out = capsys.readouterr().out
     assert "nan" not in out.lower() and "REJECT" not in out
+
+
+def test_cli_test2_one_row_sample_is_data_error(tmp_path, kernel_file, capsys):
+    x = write(tmp_path / "x.csv", "x1\n0\n")
+    y = write(tmp_path / "y.csv", "x1\n1\n2\n3\n")
+    out = tmp_path / "t.json"
+    code = main(["test2", "--kernel", kernel_file, "--x", x, "--y", y, "--perms", "9",
+                 "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: both samples need at least 2 points\n")
+    assert not out.exists()
 
 
 def test_cli_test2_zero_perms_is_usage_error(tmp_path, kernel_file):
@@ -599,6 +609,40 @@ def test_cli_power_malformed_scenario_is_usage_error(tmp_path, kernel_file, caps
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("kind,key", [
+    ("euclidean_mean_shift", "extra"), ("euclidean_mean_shift", "grid_m"),
+    ("function_mean_shift", "extra"), ("function_mean_shift", "dim"),
+])
+def test_cli_scenario_with_an_unknown_key_is_usage_error(tmp_path, capsys, kind, key):
+    scenario = write(tmp_path / "s.json", json.dumps(
+        {"kind": kind, "n": 3, "m": 3, "shifts": [0.0], key: 4}))
+    out = tmp_path / "p.csv"
+    assert main(["power", "--scenario", scenario, "--trials", "1", "--perms", "9",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in scenario {kind!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gram", "power"])
+def test_cli_list_entry_beyond_the_double_range_is_usage_error(tmp_path, capsys, command):
+    huge = 10 ** 400
+    out = str(tmp_path / "out.csv")
+    if command == "gram":
+        spec = {"rule": {"kind": "distance", "metric": {"kind": "euclidean", "dim": 1},
+                         "z0": [huge]}}
+        kernel = write(tmp_path / "k.json", json.dumps(spec))
+        argv = ["gram", "--kernel", kernel, "--points", write(tmp_path / "p.csv", "x1\n0\n")]
+        key = "z0"
+    else:
+        scenario = write(tmp_path / "s.json",
+                         json.dumps({"kind": "euclidean_mean_shift", "shifts": [huge]}))
+        argv = ["power", "--scenario", scenario, "--trials", "1"]
+        key = "shifts"
+    assert main(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key!r} is out of range")
+    assert not Path(out).exists()
+
+
 def test_cli_power_unknown_scenario_is_usage_error(tmp_path, kernel_file):
     scenario = write(tmp_path / "s.json", json.dumps({"kind": "mystery"}))
     code = main(
@@ -772,7 +816,7 @@ def test_cli_gaussian_frequency_spec_takes_no_atom_count_or_seed(tmp_path, capsy
     kernel = write(tmp_path / "k.json", json.dumps(spec))
     x = write(tmp_path / "x.csv", "x1,weight\n0,1\n")
     assert main(["mmd", "--kernel", kernel, "--x", x, "--y", x]) == 2
-    assert capsys.readouterr().err == f"error: unknown gaussian-frequency keys ['{key}']\n"
+    assert capsys.readouterr().err == f"error: unknown key '{key}' in rule 'fourier_measure'\n"
 
 
 @pytest.mark.parametrize("command", ["mmd", "test2", "score", "gram"])
@@ -866,6 +910,12 @@ def test_cli_listed_specs_build_and_run_mmd(tmp_path, capsys, spec):
         assert json.loads(out)["mmd"] > 0.0
 
 
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _paths(node, prefix=()):
     """The paths to every value below the root of a JSON object."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -873,6 +923,73 @@ def _paths(node, prefix=()):
         yield prefix + (key,)
         if isinstance(val, (dict, list)):
             yield from _paths(val, prefix + (key,))
+
+
+#: (index into _SPECS, path) of every JSON object of every listed spec, the spec itself too
+_SPEC_OBJECTS = [(i, path) for i, spec in enumerate(_SPECS)
+                 for path in [(), *_paths(spec)] if isinstance(_at(spec, path), dict)]
+
+
+@pytest.mark.parametrize("index,path", _SPEC_OBJECTS, ids=[
+    f"{_SPECS[i]['rule']['kind']}{i}:{'.'.join(map(str, path))}" for i, path in _SPEC_OBJECTS])
+def test_cli_spec_object_with_an_unknown_key_is_usage_error(tmp_path, capsys, index, path):
+    spec = json.loads(json.dumps(_SPECS[index]))
+    _at(spec, path)["extra"] = 1
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    x = write(tmp_path / "x.csv", "x1,weight\n0,1\n")
+    assert main(["mmd", "--kernel", kernel, "--x", x, "--y", x]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unknown key 'extra' in ")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"rule": {"kind": "metric_phi", "metric": {"kind": "lp", "P": 1.5}}}, "'P' in metric 'lp'"),
+    ({"space": {"kind": "func_lp", "P": 3}, "rule": {"kind": "radial_hilbert"}},
+     "'P' in space 'func_lp'"),
+    ({"space": {"kind": "func_lp"}, "rule": {"kind": "radial_hilbert", "n": 64, "seed": 3}},
+     "'n' in rule 'radial_hilbert'"),
+], ids=["lp_metric", "func_lp_space", "radial_rule"])
+def test_cli_misspelt_spec_key_is_usage_error(tmp_path, capsys, spec, message):
+    """Each spec builds a kernel on the grid's functions but for its one misspelt or
+    foreign key, which once took its default in silence."""
+    grid = write(tmp_path / "grid.csv", "node,weight\n0,0.5\n1,0.5\n")
+    points = write(tmp_path / "f.csv", "0,1\n1,0\n")
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    out = tmp_path / "g.csv"
+    assert main(["gram", "--grid", grid, "--kernel", kernel, "--points", points,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: unknown key {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule", ["lp_operator", "distance"])
+def test_cli_function_specs_without_a_space_grid_build_on_the_grid_file(tmp_path, rule):
+    """A func_lp space with no grid, which these rules never read, beside a rule on the
+    --grid grid: the gram is the library's, bit for bit."""
+    m, p = 16, 1.5
+    grid = trapezoid_grid(m)
+    grid_file = str(tmp_path / "grid.csv")
+    write_grid_csv(grid_file, grid)
+    k1 = {"space": {"kind": "euclidean", "dim": 1}, "rule": {"kind": "radial_hilbert"},
+          "phi": {"family": "gaussian", "alpha": 50.0}}
+    spec, k = {
+        "lp_operator": ({"rule": {"kind": "lp_operator", "p": p, "k1": k1},
+                         "phi": {"family": "gaussian", "alpha": 0.5}},
+                        make_lp_operator(PHI, make_radial_hilbert(Gaussian(alpha=50.0),
+                                                                  Euclidean(1)), grid, p)),
+        "distance": ({"rule": {"kind": "distance", "metric": {"kind": "lp", "p": p},
+                               "z0": [0.0] * m}},
+                     make_distance_kernel(LpMetric(grid, p), np.zeros(m))),
+    }[rule]
+    spec["space"] = {"kind": "func_lp", "p": p}
+    functions = np.random.default_rng(3).normal(size=(5, m))
+    points = write(tmp_path / "f.csv", "".join(",".join(map(fmt, row)) + "\n"
+                                               for row in functions))
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    out = str(tmp_path / "g.csv")
+    assert main(["gram", "--grid", grid_file, "--kernel", kernel, "--points", points,
+                 "--out", out]) == 0
+    assert read_gram_csv(out).tobytes() == gram(k, functions).entries.tobytes()
 
 
 def _json_type(val):
@@ -906,19 +1023,10 @@ def test_cli_mutated_kernel_spec_values_never_escape(tmp_path_factory, data):
     kernel = write(tmp / "k.json", json.dumps(spec))
     x = write(tmp / "x.csv", "x1,weight\n0,0.5\n1,0.5\n")
     y = write(tmp / "y.csv", "x1,weight\n0.5,1\n")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        # run as the command runs, where numpy's overflow warnings are not errors: an
-        # extreme value may overflow on the way to the typed error or finite value checked here
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["mmd", "--kernel", kernel, "--x", x, "--y", y])
-    assert code in (0, 2, 3)
-    assert not any(word in out.getvalue().lower() for word in ("nan", "inf"))
+    code, out, err = _run_cli(["mmd", "--kernel", kernel, "--x", x, "--y", y])
+    _assert_clean_exit(code, out, err)
     if code == 0:
-        assert all(math.isfinite(v) for v in json.loads(out.getvalue()).values())
-    else:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert all(math.isfinite(v) for v in json.loads(out).values())
     if _json_type(new) != _json_type(old):
         assert code in (2, 3)
 
@@ -994,10 +1102,7 @@ def _run_cli(argv):
     """(exit code, stdout, stderr) of one in-process run; an exception escaping main
     fails the calling test, as a traceback would."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        # as the command runs: numpy's overflow warnings are not errors there
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 

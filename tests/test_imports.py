@@ -77,3 +77,10 @@ def test_import_does_not_load_numpy_random():
             "sys.exit(not eager and 'numpy.random' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_import_does_not_load_selfcheck():
+    # only the selfcheck command reads it, and its import costs every other command
+    code = "import sys, kernmetric.cli; sys.exit('kernmetric.selfcheck' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -21,6 +21,7 @@ from kernmetric import (
     LpMetric,
     MeasurePoints,
     ProfileClassError,
+    QuadratureGrid,
     ShapeError,
     dirac,
     gram,
@@ -488,6 +489,14 @@ def test_quantile_monge_uniform_shift():
     mu = DiscreteMeasure(E1, (one_d(0.0), one_d(1.0)), np.array([0.5, 0.5]))
     nu = DiscreteMeasure(E1, (one_d(0.5), one_d(1.5)), np.array([0.5, 0.5]))
     assert math.sqrt(quantile_sq_w2(mu, nu)) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("grid", [QuadratureGrid(np.array([2.0, 3.0]), np.array([0.5, 0.5])),
+                                  trapezoid_grid(4, 2.0, 3.0), trapezoid_grid(4, -0.5, 1.0)],
+                         ids=["nodes_above", "trapezoid_above", "trapezoid_below"])
+def test_quantile_monge_u_grid_must_lie_in_the_unit_interval(grid):
+    with pytest.raises(DomainError, match=r"u_grid must discretize \[0, 1\]"):
+        make_quantile_monge(PHI, grid)
 
 
 def test_quantile_monge_rejects_signed_measures():
