@@ -190,9 +190,9 @@ _REQUIRED = object()
 
 
 def _read(val, what: str, kinds: dict, tag: Optional[str] = "kind", default=None):
-    """The kind of val, a JSON object (a what) whose kind is val[tag] (default when
-    absent; None for tag None) and whose other keys are among that kind's in kinds,
-    a table of each kind's keys.  Any other kind or key raises ParseError naming it."""
+    """The kind of val, which must be a JSON object (a what): val[tag], default when
+    absent, or None when tag is None.  ``kinds`` maps each kind to the keys it takes
+    besides the tag; another kind, or another key, raises ParseError naming it."""
     if not isinstance(val, dict):
         raise ParseError(f"{what} must be a JSON object, got {val!r}")
     kind = None if tag is None else val.get(tag, default)

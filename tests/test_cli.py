@@ -138,6 +138,17 @@ def test_kernel_from_json_unknown_rule():
         )
 
 
+@pytest.mark.parametrize("grid,key", [
+    ({"nodes": [0.0, 1.0], "weights": [0.5, 0.5], "m": 2}, "m"),
+    ({"m": 2, "weights": [0.5, 0.5]}, "weights"),
+    ({"m": 2, "b": 2.0, "c": 1.0}, "c"),
+], ids=["nodes_and_m", "m_and_weights", "unknown"])
+def test_inline_grid_takes_the_keys_of_one_form(grid, key):
+    spec = {"space": {"kind": "func_lp", "grid": grid}, "rule": {"kind": "radial_hilbert"}}
+    with pytest.raises(ParseError, match=f"^unknown key '{key}' in grid$"):
+        kernel_from_json(spec)
+
+
 # ---------------------------------------------------------------------------
 # CLI: gram
 
