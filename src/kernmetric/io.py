@@ -8,7 +8,7 @@ import csv
 import os
 import tempfile
 from dataclasses import fields
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -82,64 +82,48 @@ def _read_csv(path: str) -> List[Tuple[int, List[str]]]:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _floats(path: str, lineno: int, row: Sequence[str]) -> List[float]:
-    try:
-        return [float(c) for c in row]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+def _header(rows: List[Tuple[int, List[str]]]):
+    """(line number, stripped cells) of the first of ``_read_csv``'s rows (1 and an
+    empty list for an empty file), and the rows after it."""
+    lineno, first = rows[0] if rows else (1, [])
+    return lineno, [c.strip() for c in first], rows[1:]
 
 
-def _table(path: str, header: Optional[Callable[[int, List[str]], None]] = None,
-           width: Optional[Callable[[int, int], None]] = None):
-    """(header cells, data rows as a float array) of a CSV file.
-
-    ``header``, when given, checks the line number and the stripped cells of the
-    first row (1 and an empty list for an empty file) before any data row is
-    read.  Every data row must have as many cells as the header, or, without
-    one, as the first row; ``width``, when given, checks the line number of the
-    first data row and that count.  An error names the line of the file that its
-    row ends on, blank lines counted.  A file without a data row raises ParseError.
-    """
-    rows = _read_csv(path)
-    cells = []
-    if header is not None:
-        lineno, first = rows[0] if rows else (1, [])
-        cells = [c.strip() for c in first]
-        header(lineno, cells)
-        rows = rows[1:]
-    n_cells = len(cells) if header is not None else len(rows[0][1]) if rows else 0
-    if width is not None and rows:
-        width(rows[0][0], n_cells)
+def _numbers(path: str, rows: List[Tuple[int, List[str]]], width: int) -> np.ndarray:
+    """The rows, each of width cells, as a float array.  An error names the line of
+    the file that its row ends on, blank lines counted; no row left is a ParseError."""
     data = []
     for lineno, row in rows:
-        if len(row) != n_cells:
-            raise ParseError(f"{path}:{lineno}: row has {len(row)} columns, expected {n_cells}")
-        data.append(_floats(path, lineno, row))
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: row has {len(row)} columns, expected {width}")
+        try:
+            data.append([float(c) for c in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not data:
         raise ParseError(f"{path}: no data rows")
-    return cells, np.asarray(data, dtype=float)
+    return np.asarray(data, dtype=float)
 
 
-def _coordinate_header(path: str, extra: List[str]):
-    """Check of the header 'x1,...,xd' followed by the columns ``extra``, d >= 1."""
-    def check(lineno, cells):
-        if not cells:
-            raise ParseError(f"{path}: empty file")
-        d = len(cells) - len(extra)
-        if d < 1 or cells != [f"x{i + 1}" for i in range(d)] + extra:
-            expected = ",".join(["x1", "...", "xd"] + extra)
-            raise ParseError(f"{path}:{lineno}: expected header {expected}")
-
-    return check
+def _coordinates(path: str, extra: List[str]) -> np.ndarray:
+    """The data rows of a CSV with the header 'x1,...,xd' followed by the columns
+    ``extra``, d >= 1."""
+    lineno, cells, rows = _header(_read_csv(path))
+    if not cells:
+        raise ParseError(f"{path}: empty file")
+    d = len(cells) - len(extra)
+    if d < 1 or cells != [f"x{i + 1}" for i in range(d)] + extra:
+        expected = ",".join(["x1", "...", "xd"] + extra)
+        raise ParseError(f"{path}:{lineno}: expected header {expected}")
+    return _numbers(path, rows, len(cells))
 
 
 def read_grid_csv(path: str) -> QuadratureGrid:
     """Grid CSV: header 'node,weight', one row per node."""
-    def check(lineno, cells):
-        if cells != ["node", "weight"]:
-            raise ParseError(f"{path}:{lineno}: expected header 'node,weight'")
-
-    _, arr = _table(path, check)
+    lineno, cells, rows = _header(_read_csv(path))
+    if cells != ["node", "weight"]:
+        raise ParseError(f"{path}:{lineno}: expected header 'node,weight'")
+    arr = _numbers(path, rows, 2)
     return QuadratureGrid(arr[:, 0], arr[:, 1])
 
 
@@ -152,23 +136,22 @@ def write_grid_csv(path: str, grid: QuadratureGrid):
 def read_function_csv(path: str, grid: QuadratureGrid) -> np.ndarray:
     """Function data CSV: one row per function, its values at the grid's m nodes, no
     header; returns the (n, m) array of the rows (``stack_points``)."""
-    def check(lineno, n_cells):
-        if n_cells != len(grid):
-            raise ShapeError(f"{path}:{lineno}: row has {n_cells} columns, "
-                             f"grid has {len(grid)} nodes")
-
-    return stack_points(FuncLp(grid), _table(path, width=check)[1])
+    rows = _read_csv(path)
+    if rows and len(rows[0][1]) != len(grid):
+        raise ShapeError(f"{path}:{rows[0][0]}: row has {len(rows[0][1])} columns, "
+                         f"grid has {len(grid)} nodes")
+    return stack_points(FuncLp(grid), _numbers(path, rows, len(grid)))
 
 
 def read_points_csv(path: str) -> np.ndarray:
     """Euclidean points CSV: header 'x1,...,xd', one row per point."""
-    return _table(path, _coordinate_header(path, []))[1]
+    return _coordinates(path, [])
 
 
 def read_measure_csv(path: str) -> DiscreteMeasure:
     """Measure CSV: header 'x1,...,xd,weight', one row per atom."""
-    header, arr = _table(path, _coordinate_header(path, ["weight"]))
-    d = len(header) - 1
+    arr = _coordinates(path, ["weight"])
+    d = arr.shape[1] - 1
     return DiscreteMeasure(Euclidean(d), arr[:, :d], arr[:, d])
 
 
@@ -179,7 +162,8 @@ def write_gram_csv(path: str, entries: np.ndarray):
 
 
 def read_gram_csv(path: str) -> np.ndarray:
-    return _table(path)[1]
+    rows = _read_csv(path)
+    return _numbers(path, rows, len(rows[0][1]) if rows else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +171,15 @@ def read_gram_csv(path: str) -> np.ndarray:
 # key outside its kind, and each value as the JSON type it must have (ParseError)
 
 _REQUIRED = object()
+#: the most entries a float64 array can have: numpy describes its size in bytes by an intp
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def _check_size(key: str, val: int, entries: int):
+    """ParseError when the JSON integer val, read from key, sizes a float array of
+    more entries than numpy can describe."""
+    if entries > _MAX_ENTRIES:
+        raise ParseError(f"{key!r} is too large for an array of floats, got {val!r}")
 
 
 def _read(val, what: str, kinds: dict, tag: Optional[str] = "kind", default=None):
@@ -308,8 +301,9 @@ def _grid(obj: dict, key: str, grid: Optional[QuadratureGrid], default=None) -> 
     _read(val, "grid", {None: ("nodes", "weights") if explicit else ("m", "a", "b")}, tag=None)
     if explicit:
         return QuadratureGrid(_array(val, "nodes", 1), _array(val, "weights", 1))
-    return trapezoid_grid(_number(val, "m", integer=True), _number(val, "a", 0.0),
-                          _number(val, "b", 1.0))
+    m = _number(val, "m", integer=True)
+    _check_size("m", m, m)
+    return trapezoid_grid(m, _number(val, "a", 0.0), _number(val, "b", 1.0))
 
 
 def _space_from_json(obj, grid: Optional[QuadratureGrid]):
@@ -393,6 +387,9 @@ def scenario_from_json(obj) -> tuple:
         if not val >= 0:
             raise ParseError(f"{key!r} must be nonnegative, got {val!r}")
     d, n, m, noise = values.values()
+    _check_size("dim" if euclidean else "grid_m", d, d)
+    _check_size("n", n, n * d)
+    _check_size("m", m, m * d)
     shifts = _value(obj, "shifts", [0.0, 0.5, 1.0])
     if not isinstance(shifts, list):
         raise ParseError(f"'shifts' must be a list of numbers, got {shifts!r}")

@@ -479,8 +479,9 @@ def _base_gram(k: KernelSpec, points) -> np.ndarray:
     """Exactly symmetric Gram matrix of a kernel on a list (or stacked array) of
     points: the upper triangle of the ``pairwise`` block, mirrored."""
     pts = points if isinstance(points, np.ndarray) else list(points)
-    g = np.triu(k.pairwise(pts, pts))
-    return g + np.triu(g, 1).T
+    g = k.pairwise(pts, pts)
+    np.copyto(g, g.T, where=np.tri(len(g), k=-1, dtype=bool))
+    return g
 
 
 _LINE_MEASURES = MeasurePoints(Euclidean(1))

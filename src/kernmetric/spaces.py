@@ -7,6 +7,7 @@ set is an (n, d) array or a list of rows (``stack_points``)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -53,7 +54,8 @@ class QuadratureGrid:
             raise DomainError("a grid needs at least 2 nodes")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
             raise DomainError("grid nodes and weights must be finite")
-        if np.any(np.diff(nodes) <= 0):
+        # compared, not subtracted: the difference of nodes near +-1.8e308 overflows
+        if np.any(nodes[1:] <= nodes[:-1]):
             raise DomainError("nodes must be strictly increasing")
         if np.any(weights <= 0):
             raise DomainError("quadrature weights must be positive")
@@ -81,8 +83,11 @@ def trapezoid_grid(m: int, a: float = 0.0, b: float = 1.0) -> QuadratureGrid:
     """Uniform m-node trapezoid rule on [a, b]; weights sum to b - a."""
     if m < 2:
         raise DomainError("trapezoid grid needs at least 2 nodes")
+    width = float(b) - float(a)
+    if not math.isfinite(width):
+        raise DomainError(f"trapezoid grid on [{a}, {b}]: the width b - a must be finite")
     nodes = np.linspace(a, b, m)
-    h = (b - a) / (m - 1)
+    h = width / (m - 1)
     weights = np.full(m, h)
     weights[0] = weights[-1] = h / 2
     return QuadratureGrid(nodes, weights)

@@ -4,7 +4,7 @@ two-sample tests, and the energy distance."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,13 +44,7 @@ class TestResult:
     estimator: str = "u_statistic"
 
     def to_json(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n_permutations": self.n_permutations,
-            "seed": self.seed,
-            "estimator": self.estimator,
-        }
+        return asdict(self)
 
 
 def _require_probability(m: DiscreteMeasure, name: str = "measure"):

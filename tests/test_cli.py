@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,14 @@ def test_cli_gram_round_trip(tmp_path, kernel_file, capsys):
     expected = gram(k, [np.array([v]) for v in (0.0, 1.0, 2.0)]).entries
     # 17 significant digits: bit-exact round trip
     np.testing.assert_array_equal(entries, expected)
+
+
+def test_cli_gram_on_a_grid_near_the_double_limit_is_quiet(tmp_path):
+    grid = write(tmp_path / "g.csv", "node,weight\n-1.7e308,0.5\n1.7e308,0.5\n")
+    points = write(tmp_path / "f.csv", "0,1\n1,0\n")
+    out = tmp_path / "gram.csv"
+    assert _run_cli(["gram", "--grid", grid, "--points", points, "--out", str(out)]) == (0, "", "")
+    assert read_gram_csv(str(out)).shape == (2, 2)
 
 
 def test_cli_gram_default_lp_operator_spec(tmp_path):
@@ -654,6 +663,28 @@ def test_cli_list_entry_beyond_the_double_range_is_usage_error(tmp_path, capsys,
     assert not Path(out).exists()
 
 
+@pytest.mark.parametrize("scenario,spec,key", [
+    ({"kind": "euclidean_mean_shift", "n": 10**400}, None, "n"),
+    ({"kind": "euclidean_mean_shift", "dim": 10**400}, None, "dim"),
+    ({"kind": "function_mean_shift", "grid_m": 10**30}, None, "grid_m"),
+    ({"kind": "euclidean_mean_shift", "n": 10**18, "dim": 2}, None, "n"),
+    ({"kind": "function_mean_shift"},
+     {"space": {"kind": "func_lp", "grid": {"m": 10**30}}, "rule": {"kind": "radial_hilbert"}}, "m"),
+], ids=["n", "dim", "grid_m", "n_times_dim", "inline_grid_m"])
+def test_cli_size_past_numpy_arrays_is_usage_error(tmp_path, scenario, spec, key):
+    """A JSON integer that sizes a float array numpy cannot describe exits 2 with one
+    error line naming its key."""
+    out = tmp_path / "p.csv"
+    argv = ["power", "--scenario", write(tmp_path / "s.json", json.dumps(scenario)),
+            "--trials", "1", "--perms", "9", "--out", str(out)]
+    if spec is not None:
+        argv += ["--kernel", write(tmp_path / "k.json", json.dumps(spec))]
+    code, stdout, err = _run_cli(argv)
+    _assert_clean_exit(code, stdout, err)
+    assert code == 2 and err.startswith(f"error: {key!r} is too large") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_power_unknown_scenario_is_usage_error(tmp_path, kernel_file):
     scenario = write(tmp_path / "s.json", json.dumps({"kind": "mystery"}))
     code = main(
@@ -1110,28 +1141,39 @@ def _csv_route(tmp, route, path):
 
 
 def _run_cli(argv):
-    """(exit code, stdout, stderr) of one in-process run; an exception escaping main
-    fails the calling test, as a traceback would."""
+    """(exit code, stdout, stderr) of one in-process run, each warning that the suite's
+    filters let through written to stderr; an exception escaping main fails the calling
+    test, as a traceback would."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
         code = main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return code, out.getvalue(), err.getvalue()
 
 
 def _assert_clean_exit(code, out, err):
     assert code in (0, 2, 3)
     assert not any(word in out.lower() for word in ("nan", "inf"))
+    assert "Warning" not in err and "Traceback" not in err
     if code != 0:
         assert out == "" and err.startswith("error: ")
 
 
 _NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
-                     st.integers(-3, 3).map(str))
+                     st.integers(-3, 3).map(str),
+                     # near the largest double, where sums and differences overflow
+                     st.floats(1.6e308, 1.7976931348623157e308).map(repr),
+                     st.floats(-1.7976931348623157e308, -1.6e308).map(repr),
+                     # subnormal
+                     st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(repr))
 # mostly numbers, so that many files pass the header and number checks and reach the others
 _CELLS = st.one_of(
     _NUMBERS, _NUMBERS,
     st.sampled_from(["", " ", "x1", "x2", "weight", "node", "1e999", "-0", "1_0", '"1"', "0x1"]),
     st.text(st.characters(codec="utf-8"), max_size=3),
+    st.just("1" * (csv.field_size_limit() + 1)),
 )
 _HEADERS = st.sampled_from(["x1", "x1,x2", "x1,weight", "x1,x2,weight", "node,weight", ""])
 _ROWS = st.lists(_CELLS, max_size=4).map(",".join)

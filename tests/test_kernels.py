@@ -673,6 +673,19 @@ def test_pairwise_on_an_array_equals_pairwise_on_its_rows(k, gen):
     assert gram(k, xs).entries.tobytes() == gram(k, list(xs)).entries.tobytes()
 
 
+@pytest.mark.parametrize("k,gen", [pytest.param(k, gen, id=name) for name, k, gen in
+                                   sample_kernels(np.random.default_rng(0))])
+def test_gram_is_the_mirrored_upper_triangle(k, gen):
+    """The Gram matrix has the bits of the pairwise block's upper triangle added to
+    its mirror, and equals its own transpose exactly."""
+    rng = np.random.default_rng(4)
+    pts = [gen(rng) for _ in range(9)]
+    block = k.pairwise(pts, pts)
+    g = gram(k, pts).entries
+    assert g.tobytes() == (np.triu(block) + np.triu(block, 1).T).tobytes()
+    assert g.tobytes() == g.T.tobytes()
+
+
 def test_batched_gram_rejects_non_finite_points():
     k = make_radial_hilbert(PHI, E2)
     for bad in (np.nan, np.inf):

@@ -41,6 +41,17 @@ def test_grid_validation():
         trapezoid_grid(1)
 
 
+def test_grid_near_the_double_limit_is_checked_quietly():
+    """Nodes are compared, not subtracted, so nodes near +-1.8e308 raise no overflow
+    warning (the suite makes one an error); a trapezoid rule whose width b - a
+    overflows is refused."""
+    assert QuadratureGrid([-1.7e308, 1.7e308], [0.5, 0.5]).nodes.tolist() == [-1.7e308, 1.7e308]
+    with pytest.raises(DomainError, match="strictly increasing"):
+        QuadratureGrid([1.7e308, -1.7e308], [0.5, 0.5])
+    with pytest.raises(DomainError, match="width b - a must be finite"):
+        trapezoid_grid(3, -1.7e308, 1.7e308)
+
+
 @pytest.mark.parametrize("nodes,weights", [
     ([0.0, np.nan, 1.0], [0.25, 0.5, 0.25]),
     ([0.0, 0.5, np.inf], [0.25, 0.5, 0.25]),
