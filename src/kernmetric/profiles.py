@@ -51,7 +51,12 @@ class DiscreteLaplace:
 
     def __call__(self, t):
         t, scalar = _check_t(t)
-        return _result(sum(w * np.exp(-x * t) for x, w in self.atoms), scalar)
+        # as in _decay; an atom at rate 0 is the constant w, at t = inf too, where
+        # 0 * inf would be NaN; a sum of weights past the float range is inf, which
+        # the kernel's finiteness check refuses
+        with np.errstate(over="ignore"):
+            return _result(sum(w * np.exp(-x * t) if x else np.full(t.shape, w)
+                               for x, w in self.atoms), scalar)
 
     @property
     def strictly_pd(self) -> bool:
@@ -71,7 +76,7 @@ class Gaussian:
 
     def __call__(self, t):
         t, scalar = _check_t(t)
-        return _result(np.exp(-self.alpha * t), scalar)
+        return _result(_decay(self.alpha, t), scalar)
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class ExpSqrt:
 
     def __call__(self, t):
         t, scalar = _check_t(t)
-        return _result(np.exp(-self.c * np.sqrt(t)), scalar)
+        return _result(_decay(self.c, np.sqrt(t)), scalar)
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ class InverseRational:
         log_base = np.empty_like(t)
         log_base[near] = np.log1p(t[near] / self.scale)
         log_base[~near] = np.log(far) - np.log(self.scale) + np.log1p(self.scale / far)
-        return _result(np.exp(-self.beta * log_base), scalar)
+        return _result(_decay(self.beta, log_base), scalar)
 
 
 PhiProfile = Union[DiscreteLaplace, Gaussian, ExpSqrt, InverseRational]
@@ -135,6 +140,16 @@ def _check_t(t):
     if np.any(arr < 0):
         raise DomainError(f"profile argument must be nonnegative, got {np.min(arr[arr < 0])}")
     return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _decay(rate: float, values: np.ndarray) -> np.ndarray:
+    """exp(-rate * values) for a rate and values that are nonnegative.
+
+    numpy's overflow warning is off: a product past the float range is inf, and
+    exp(-inf) = 0 is the exact limit of the profile.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(-rate * values)
 
 
 def _result(values: np.ndarray, scalar: bool):

@@ -117,6 +117,44 @@ def test_infinite_parameter_rejected(make):
         make(math.inf)
 
 
+@pytest.mark.parametrize("phi", [
+    Gaussian(alpha=1.6e308),
+    ExpSqrt(c=1.6e308),
+    InverseRational(beta=1.6e308, scale=2.0),
+    DiscreteLaplace(atoms=((1.6e308, 1.0),)),
+], ids=["gaussian", "exp_sqrt", "inverse_rational", "discrete_laplace"])
+def test_rate_near_the_double_limit_decays_to_zero_quietly(phi):
+    """A rate times t past the float range is inf: phi is exp(-inf) = 0 there, with no
+    overflow warning, and phi(0) is still the mass of the mixing measure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = phi(np.array([0.0, 4.0, 1e300]))
+    np.testing.assert_array_equal(values, [1.0, 0.0, 0.0])
+
+
+def test_discrete_laplace_atom_at_rate_zero_is_constant_at_infinity():
+    """A rate-0 atom adds its weight at every t, t = inf (an overflowing distance)
+    included, with no invalid-value warning from 0 * inf."""
+    phi = DiscreteLaplace(atoms=((0.0, 0.25), (1.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = phi(np.array([0.0, 1.0, math.inf]))
+    np.testing.assert_array_equal(values, [1.25, 0.25 + np.exp(-1.0), 0.25])
+
+
+def test_discrete_laplace_weight_sum_past_the_double_limit_is_refused_quietly():
+    """Weights whose sum overflows give phi(0) = inf without a warning; the kernel's
+    finiteness check refuses it."""
+    phi = DiscreteLaplace(atoms=((1.0, 1e308), (2.0, 1e308)))
+    p = DiscreteMeasure(Euclidean(1), (np.array([0.0]),), np.array([1.0]))
+    q = DiscreteMeasure(Euclidean(1), (np.array([1.0]),), np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(0.0) == math.inf
+        with pytest.raises(DomainError, match="overflow"):
+            mmd(make_radial_hilbert(phi, Euclidean(1)), p, q)
+
+
 def _inverse_rational_closed_form(beta: float, scale: float, t: float) -> float:
     """exp(-beta * log(1 + t / scale)), evaluated in 60-digit decimal arithmetic."""
     with decimal.localcontext(decimal.Context(prec=60)):
