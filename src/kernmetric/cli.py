@@ -304,8 +304,8 @@ def main(argv=None) -> int:
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KernmetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KernmetricError, MemoryError) as exc:  # MemoryError: a size that fits no memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:  # an input or output path that cannot be used
         print(f"error: {exc}", file=sys.stderr)

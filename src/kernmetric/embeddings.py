@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import OVERFLOW, DomainError, ShapeError
 from .kernels import KernelSpec, _base_gram
 from .spaces import DiscreteMeasure
 
@@ -36,33 +36,34 @@ def gram(k: KernelSpec, points: Sequence) -> GramMatrix:
 
 
 def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
-    """Squared RKHS semi-norm of the embedded measure, clamped at zero.
-
-    The analytic value ``sum_ij w_i w_j k(z_i, z_j)`` is nonnegative for any
-    positive definite kernel; roundoff can make the double sum slightly
-    negative, so values within ``-1e-10 * (sum |w|)^2 * s`` are clamped to 0,
-    where ``s`` is the largest k(z, z) over the support (phi(0) for a profile
-    kernel), which bounds every |k(z_i, z_j)|.
-    """
+    """Squared RKHS semi-norm ``sum_ij w_i w_j k(z_i, z_j)`` of the embedded measure, its
+    roundoff settled by ``settle_form`` with s the largest k(z, z) over the support
+    (phi(0) for a profile kernel), which bounds every |k(z_i, z_j)|: DomainError below
+    -1e-10 (sum |w|)^2 s, exactly 0 up to 2 (n + 1) u (sum |w|)^2 s over n atoms
+    (u = 2**-53), so that mu - mu has norm 0, and the computed value above that."""
     if mu.space != k.space:
         raise ShapeError("measure does not live on the kernel's space")
     g = _base_gram(k, mu.points)
     w = mu.weights
-    val = float(w @ (g @ w))
-    tol = 1e-10 * float(np.sum(np.abs(w))) ** 2 * float(np.max(np.diag(g)))
-    check_roundoff(val, tol, "quadratic form")
-    # symmetric clamp: |val| <= tol collapses to exactly 0, so the norm of
-    # mu - mu is 0 and square roots downstream are safe
-    if abs(val) <= tol:
-        return 0.0
-    return val
+    return float(settle_form(w @ (g @ w), np.sum(np.abs(w)), np.max(np.diag(g)), len(w)))
 
 
-def check_roundoff(val, tol: float, what: str):
-    """DomainError where val (a number or array) is negative beyond the roundoff tol."""
-    low = float(np.min(val, initial=0.0))
-    if low < -tol:
-        raise DomainError(f"{what} is negative beyond roundoff ({low})")
+def settle_form(val, mass: float, scale, n: int) -> np.ndarray:
+    """A computed quadratic form w'Kw >= 0 of a signed measure (or an array of them, and
+    of their scales), roundoff settled: DomainError where val is not finite or is below
+    -1e-10 mass^2 scale; exactly 0 up to 2 (n + 1) u mass^2 scale; val above that.
+
+    mass is sum |w_i| over the n atoms summed, scale the largest |K_ij| and u = 2**-53.
+    In any order of summation w'(Kw) is off by at most ((1 + g)^2 - 1) mass^2 scale,
+    g = n u / (1 - n u), which is below the zero band's bound while n u <= 1e-9, far
+    past any Gram matrix that fits in memory.
+    """
+    if not np.all(np.isfinite(val)):
+        raise DomainError(OVERFLOW)
+    size = mass * mass * scale
+    if np.any(val < -1e-10 * size):
+        raise DomainError(f"quadratic form is negative beyond roundoff ({np.min(val)})")
+    return np.where(val <= (n + 1) * np.finfo(float).eps * size, 0.0, val)
 
 
 def kme_inner(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -345,6 +345,11 @@ def check_ispd_on_signed_measures():
         space = k.space
         for _ in range(20):
             a, b = gen(rng), gen(rng)
+            # a zero-mass pair 1e-6 apart in every coordinate: a form of order 1e-12
+            near = (DiscreteMeasure(a.space, a.points + 1e-6, a.weights)
+                    if isinstance(a, DiscreteMeasure) else a + 1e-6)
+            if kme_sq_norm(k, DiscreteMeasure(space, (a, near), [1.0, -1.0])) <= 0.0:
+                return False
             if _point_dist(a, b) < 1e-3:
                 continue
             w = rng.normal(size=2)

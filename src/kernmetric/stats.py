@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import check_roundoff, kme_sq_norm
-from .errors import OVERFLOW, DomainError, ShapeError
+from .embeddings import kme_sq_norm, settle_form
+from .errors import DomainError, ShapeError
 from .kernels import KernelSpec, _base_gram
 from .spaces import (
     DiscreteMeasure,
@@ -52,23 +52,20 @@ def _require_probability(m: DiscreteMeasure, name: str = "measure"):
         raise DomainError(f"{name} must be a probability measure")
 
 
-def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Maximum mean discrepancy: RKHS norm of the embedded difference.
-
-    The argument order is canonicalized before evaluation so that
-    mmd(P, Q) == mmd(Q, P) bit for bit.
-    """
+def _ordered_difference(p: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
+    """P - Q for probability measures P and Q taken in ``measure_key`` order, so that a
+    symmetric statistic of it has the same bits whichever argument comes first."""
     _require_probability(p, "P")
     _require_probability(q, "Q")
     if measure_key(q) < measure_key(p):
         p, q = q, p
-    return float(np.sqrt(kme_sq_norm(k, measure_difference(p, q))))
+    return measure_difference(p, q)
 
 
-def _roundoff_tol(*self_values: np.ndarray) -> float:
-    """1e-10 * max(1, s) for s the largest self-value k(z, z) of the points involved,
-    which bounds every term of a score or divergence."""
-    return 1e-10 * float(np.max(np.concatenate(self_values), initial=1.0))
+def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    """Maximum mean discrepancy: RKHS norm of the embedded difference P - Q, in
+    ``_ordered_difference``'s order so that mmd(P, Q) == mmd(Q, P) bit for bit."""
+    return float(np.sqrt(kme_sq_norm(k, _ordered_difference(p, q))))
 
 
 def kernel_score(k: KernelSpec, p: DiscreteMeasure, x) -> float:
@@ -77,7 +74,8 @@ def kernel_score(k: KernelSpec, p: DiscreteMeasure, x) -> float:
     S(p, x) = -sum_i w_i k(z_i, x) + 0.5 sum_ij w_i w_j k(z_i, z_j)
               + 0.5 k(x, x).
     The half-diagonal term makes the score equal to half the squared MMD
-    between p and the point mass at x, hence nonnegative.
+    between p and the point mass at x, hence nonnegative; its roundoff is
+    settled as ``kernel_scores`` says.
     """
     return float(kernel_scores(k, p, [x])[0])
 
@@ -85,7 +83,10 @@ def kernel_score(k: KernelSpec, p: DiscreteMeasure, x) -> float:
 def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray:
     """Kernel scores ``kernel_score(k, p, x)`` of one forecast at every outcome in xs.
 
-    The forecast's self-term sum_ij w_i w_j k(z_i, z_j) is computed once.
+    The forecast's self-term sum_ij w_i w_j k(z_i, z_j) is computed once.  A score is
+    half the form of p - delta_x, of mass 2 over n + 1 atoms, settled (``settle_form``)
+    with s the largest k(z, z) and k(x, x): DomainError below -4e-10 s, exactly 0 up to
+    8 (n + 2) u s (u = 2**-53), and the computed value above that.
     """
     _require_probability(p, "forecast")
     xs = stack_points(k.space, xs)
@@ -93,9 +94,9 @@ def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray
     # whatever the other outcomes are
     cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.points, xs)))
     outcomes = k.diag(xs)
-    val = -cross + 0.5 * kme_sq_norm(k, p) + 0.5 * outcomes
-    check_roundoff(val, _roundoff_tol(k.diag(p.points), outcomes), "kernel score")
-    return np.where(val < 0, 0.0, val)
+    form = kme_sq_norm(k, p) - 2.0 * cross + outcomes
+    scale = np.maximum(np.max(k.diag(p.points)), outcomes)
+    return 0.5 * settle_form(form, 2.0, scale, len(p.weights) + 1)
 
 
 def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> float:
@@ -105,10 +106,10 @@ def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> flo
 
 
 def divergence(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Score divergence d(P, Q) = S(Q, P) - S(P, P); equals half the squared MMD."""
-    val = expected_score(k, q, p) - expected_score(k, p, p)
-    check_roundoff(val, _roundoff_tol(k.diag(p.points), k.diag(q.points)), "divergence")
-    return 0.0 if val < 0 else val
+    """Score divergence d(P, Q) = S(Q, P) - S(P, P), computed as what it equals, half
+    the squared MMD: 0.5 * kme_sq_norm(k, P - Q) in ``mmd``'s order, bitwise symmetric,
+    exactly 0 for equal measures and settled as in ``kme_sq_norm``."""
+    return 0.5 * kme_sq_norm(k, _ordered_difference(p, q))
 
 
 def _u_statistic_from_gram(g: np.ndarray, n: int, m: int) -> float:
@@ -303,18 +304,15 @@ def permutation_test(
 
 
 def energy_distance(metric: MetricSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Energy distance 2 E rho(X, Y) - E rho(X, X') - E rho(Y, Y')."""
-    _require_probability(p, "P")
-    _require_probability(q, "Q")
-    space = metric.space()
-    if p.space != space or q.space != space:
+    """Energy distance 2 E rho(X, Y) - E rho(X, X') - E rho(Y, Y') = -w'Dw, for w the
+    weights of P - Q in ``mmd``'s order and D the distances of its n atoms; bitwise
+    symmetric, settled (``settle_form``) with s the largest distance: DomainError below
+    -4e-10 s or on overflow, exactly 0 up to 8 (n + 1) u s (u = 2**-53), else computed."""
+    diff = _ordered_difference(p, q)
+    if diff.space != metric.space():
         raise ShapeError("measures do not live on the metric's space")
-
-    def form(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-        dists = metric_dists(metric, a.points, b.points)
-        return float(a.weights @ (dists @ b.weights))
-
-    val = 2.0 * form(p, q) - form(p, p) - form(q, q)
-    if not np.isfinite(val):
-        raise DomainError(OVERFLOW)
-    return val
+    dists = metric_dists(metric, diff.points, diff.points)
+    w = diff.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = -(w @ (dists @ w))
+    return float(settle_form(form, 2.0, np.max(dists), len(w)))

@@ -685,6 +685,19 @@ def test_cli_size_past_numpy_arrays_is_usage_error(tmp_path, scenario, spec, key
     assert not out.exists()
 
 
+def test_cli_size_past_memory_is_data_error(tmp_path):
+    """A size numpy can describe but not allocate (711 PiB here, refused at once) exits
+    3 with one error line."""
+    out = tmp_path / "p.csv"
+    scenario = {"kind": "euclidean_mean_shift", "n": 10**17, "dim": 1}
+    code, stdout, err = _run_cli(["power", "--scenario",
+                                  write(tmp_path / "s.json", json.dumps(scenario)),
+                                  "--trials", "1", "--perms", "9", "--out", str(out)])
+    _assert_clean_exit(code, stdout, err)
+    assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_power_unknown_scenario_is_usage_error(tmp_path, kernel_file):
     scenario = write(tmp_path / "s.json", json.dumps({"kind": "mystery"}))
     code = main(
@@ -1177,6 +1190,17 @@ _CELLS = st.one_of(
 )
 _HEADERS = st.sampled_from(["x1", "x1,x2", "x1,weight", "x1,x2,weight", "node,weight", ""])
 _ROWS = st.lists(_CELLS, max_size=4).map(",".join)
+#: grid files that parse: strictly increasing finite nodes, here and there near
+#: +-1.7e308 or subnormal, each with a positive finite weight
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(1.6e308, 1.7976931348623157e308),
+                    st.floats(-1.7976931348623157e308, -1.6e308),
+                    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+_GRIDS = st.lists(_FINITE, min_size=2, max_size=5, unique=True).flatmap(
+    lambda nodes: st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                           min_size=len(nodes), max_size=len(nodes)).map(
+        lambda weights: "\n".join(["node,weight", *(f"{n!r},{w!r}" for n, w in
+                                                     zip(sorted(nodes), weights))])))
 #: the header each route's reader expects
 _ROUTE_HEADERS = {"test2": "x1", "score": "x1", "mmd": "x1,weight", "forecast": "x1,weight",
                   "grid": "node,weight", "functions": ""}
@@ -1191,6 +1215,8 @@ def test_cli_arbitrary_csv_never_escapes(tmp_path_factory, route, data):
     rows = data.draw(st.lists(_ROWS, max_size=5))
     header = data.draw(st.one_of(st.just(_ROUTE_HEADERS[route]), _HEADERS, _ROWS))
     text = "\n".join([header, *rows] if route != "functions" else rows)
+    if route == "grid":
+        text = data.draw(st.one_of(st.just(text), _GRIDS))
     tmp = tmp_path_factory.mktemp("csv")
     path = tmp / "data.csv"
     path.write_text(text + data.draw(st.sampled_from(["", "\n", "\r\n"])), encoding="utf-8")

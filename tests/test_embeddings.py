@@ -19,8 +19,11 @@ from kernmetric import (
     make_kme_measure,
     make_mixture,
     make_radial_hilbert,
+    measure_difference,
     min_eigenvalue,
 )
+from kernmetric.embeddings import settle_form
+from kernmetric.selfcheck import sample_kernels
 
 from conftest import random_prob_measure, random_signed_measure
 
@@ -191,3 +194,27 @@ def test_overflowing_kernel_values_are_domain_errors():
             k.pairwise([np.zeros(2)], [np.array([1.0, 0.0])])
         with pytest.raises(DomainError, match="overflow"):
             kme_inner(k, mu, nu)
+
+
+def test_settle_form_gate_zero_band_and_bound():
+    # two atoms of mass 2 and scale 1: the gate is -4e-10, the bound 2 (2 + 1) u 4 = 12 eps
+    bound = 12 * np.finfo(float).eps
+    assert settle_form(bound, 2.0, 1.0, 2) == 0.0
+    assert settle_form(np.nextafter(bound, 1.0), 2.0, 1.0, 2) == np.nextafter(bound, 1.0)
+    assert settle_form(-4e-10, 2.0, 1.0, 2) == 0.0
+    with pytest.raises(DomainError, match="negative beyond roundoff"):
+        settle_form(np.nextafter(-4e-10, -1.0), 2.0, 1.0, 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="overflow"):
+            settle_form(bad, 2.0, 1.0, 2)
+    # an array of forms, each with its own scale
+    forms, scales = np.array([1e-14, 1e-14]), np.array([1.0, 100.0])
+    np.testing.assert_array_equal(settle_form(forms, 2.0, scales, 2), [1e-14, 0.0])
+
+
+@pytest.mark.parametrize("name,k,gen", sample_kernels(np.random.default_rng(0)),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_kme_sq_norm_of_mu_minus_mu_is_zero(rng, name, k, gen):
+    for _ in range(5):
+        mu = DiscreteMeasure(k.space, tuple(gen(rng) for _ in range(4)), rng.normal(size=4))
+        assert kme_sq_norm(k, measure_difference(mu, mu)) == 0.0

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from kernmetric import (
+    DiscreteLaplace,
     DiscreteMeasure,
     DomainError,
     Euclidean,
     EuclideanMetric,
+    ExpSqrt,
     FuncLp,
     Gaussian,
+    InverseRational,
     dirac,
     divergence,
     energy_distance,
@@ -104,6 +107,64 @@ def test_mmd_rejects_signed_measure(k2):
     good = dirac(E2, np.zeros(2))
     with pytest.raises(DomainError):
         mmd(k2, bad, good)
+
+
+# ---------------------------------------------------------------------------
+# near zero: mmd, scores, divergence and energy distance settle the roundoff of
+# their quadratic form by one rule (embeddings.settle_form)
+
+#: each profile family, with phi(0) - phi(t) computed without cancellation
+PROFILE_GAPS = [
+    (Gaussian(alpha=0.5), lambda t: -math.expm1(-0.5 * t)),
+    (ExpSqrt(c=1.0), lambda t: -math.expm1(-math.sqrt(t))),
+    (InverseRational(beta=1.0, scale=1.0), lambda t: -math.expm1(-math.log1p(t))),
+    (DiscreteLaplace(atoms=((1.0, 0.5), (2.0, 0.5))),
+     lambda t: -0.5 * math.expm1(-t) - 0.5 * math.expm1(-2.0 * t)),
+]
+PROFILE_IDS = ["gaussian", "exp_sqrt", "inverse_rational", "discrete_laplace"]
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("phi,gap", PROFILE_GAPS, ids=PROFILE_IDS)
+def test_mmd_of_close_diracs_keeps_its_digits(phi, gap, h):
+    # a characteristic kernel tells delta_0 from delta_h: mmd^2 = 2 (phi(0) - phi(h^2))
+    k = make_radial_hilbert(phi, E1)
+    val = mmd(k, dirac(E1, one_d(0.0)), dirac(E1, one_d(h)))
+    assert val != 0.0
+    assert val == pytest.approx(math.sqrt(2.0 * gap(h * h)), rel=1e-2)
+
+
+@pytest.mark.parametrize("phi,gap", PROFILE_GAPS, ids=PROFILE_IDS)
+def test_score_mmd_and_divergence_of_close_diracs_agree(phi, gap):
+    h = 1e-6
+    k = make_radial_hilbert(phi, E1)
+    p, q = dirac(E1, one_d(0.0)), dirac(E1, one_d(h))
+    values = [kernel_score(k, p, one_d(h)), 0.5 * mmd(k, p, q) ** 2, divergence(k, p, q)]
+    # each is half a form over two atoms of mass 2 and scale phi(0), within half of
+    # that form's bound 2 (2 + 1) u 2^2 phi(0) of half the form's exact value
+    bound = 12 * np.finfo(float).eps / 2 * phi(0.0)
+    assert max(values) - min(values) <= bound
+    assert min(values) > 0.0
+
+
+def test_reordered_atoms_give_exactly_zero(k2, rng):
+    metric = EuclideanMetric(2)
+    for atoms in range(2, 8):
+        for _ in range(20):
+            p = random_prob_measure(rng, atoms=atoms)
+            order = rng.permutation(atoms)
+            q = DiscreteMeasure(E2, p.points[order], p.weights[order])
+            assert mmd(k2, p, q) == 0.0
+            assert divergence(k2, p, q) == 0.0
+            assert energy_distance(metric, p, q) == 0.0
+
+
+def test_divergence_and_energy_distance_are_bitwise_symmetric(k2, rng):
+    metric = EuclideanMetric(2)
+    for _ in range(100):
+        p, q = random_prob_measure(rng, atoms=5), random_prob_measure(rng, atoms=4)
+        assert divergence(k2, p, q) == divergence(k2, q, p)
+        assert energy_distance(metric, p, q) == energy_distance(metric, q, p)
 
 
 # ---------------------------------------------------------------------------
