@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OVERFLOW, DomainError, ShapeError
-from .kernels import KernelSpec, _base_gram
+from .errors import DomainError, ShapeError
+from .kernels import KernelSpec, _base_gram, settle_form
 from .spaces import DiscreteMeasure
 
 __all__ = ["GramMatrix", "gram", "kme_sq_norm", "kme_inner", "min_eigenvalue"]
@@ -46,24 +46,6 @@ def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
     g = _base_gram(k, mu.points)
     w = mu.weights
     return float(settle_form(w @ (g @ w), np.sum(np.abs(w)), np.max(np.diag(g)), len(w)))
-
-
-def settle_form(val, mass: float, scale, n: int) -> np.ndarray:
-    """A computed quadratic form w'Kw >= 0 of a signed measure (or an array of them, and
-    of their scales), roundoff settled: DomainError where val is not finite or is below
-    -1e-10 mass^2 scale; exactly 0 up to 2 (n + 1) u mass^2 scale; val above that.
-
-    mass is sum |w_i| over the n atoms summed, scale the largest |K_ij| and u = 2**-53.
-    In any order of summation w'(Kw) is off by at most ((1 + g)^2 - 1) mass^2 scale,
-    g = n u / (1 - n u), which is below the zero band's bound while n u <= 1e-9, far
-    past any Gram matrix that fits in memory.
-    """
-    if not np.all(np.isfinite(val)):
-        raise DomainError(OVERFLOW)
-    size = mass * mass * scale
-    if np.any(val < -1e-10 * size):
-        raise DomainError(f"quadratic form is negative beyond roundoff ({np.min(val)})")
-    return np.where(val <= (n + 1) * np.finfo(float).eps * size, 0.0, val)
 
 
 def kme_inner(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

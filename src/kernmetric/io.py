@@ -1,6 +1,8 @@
 """File formats: grid/function/measure CSVs, Gram CSVs, kernel-spec JSON,
-and TestResult JSON.  Floats are serialized with 17 significant digits so
-round-trips are bit-stable."""
+and TestResult JSON.  Floats are serialized with 17 significant digits
+(``FLOAT_FMT``) so round-trips are bit-stable; a Gram CSV formats each
+mirrored pair of equal bits once, and its bytes are those of ``FLOAT_FMT`` per
+cell."""
 
 from __future__ import annotations
 
@@ -156,9 +158,28 @@ def read_measure_csv(path: str) -> DiscreteMeasure:
 
 
 def write_gram_csv(path: str, entries: np.ndarray):
+    """Write a matrix as CSV, one row per line, each cell ``FLOAT_FMT`` of its entry.
+
+    Cells on and above the diagonal are formatted row by row; a cell below it
+    takes the text of its mirror when the two entries have the same 64-bit
+    pattern, and is formatted itself otherwise (0.0 against -0.0, a matrix that
+    is not symmetric or not square).  So each mirrored pair of a symmetric Gram
+    matrix is formatted once, and the bytes are those of ``FLOAT_FMT`` per cell.
+    """
     entries = np.asarray(entries, dtype=float)
-    row_fmt = ",".join([FLOAT_FMT] * entries.shape[1])
-    write_atomic(path, "\n".join(row_fmt % tuple(row.tolist()) for row in entries) + "\n")
+    n, m = entries.shape
+    k = min(n, m)
+    bits = entries.view(np.uint64)[:k, :k]
+    mirrored = np.tril(bits == bits.T, -1)
+    own = np.ones((n, m), dtype=bool)
+    own[:k, :k] = ~mirrored
+    values = tuple(entries[own].tolist())
+    text = np.empty((n, m), dtype=object)
+    # one format for every cell formatted: FLOAT_FMT writes no comma
+    text[own] = (",".join([FLOAT_FMT] * len(values)) % values).split(",")
+    square = text[:k, :k]
+    square[mirrored] = square.T[mirrored]
+    write_atomic(path, "\n".join(map(",".join, text.tolist())) + "\n")
 
 
 def read_gram_csv(path: str) -> np.ndarray:

@@ -126,6 +126,25 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def settle_form(val, mass, scale, n) -> np.ndarray:
+    """A computed quadratic form w'Kw >= 0 of a signed measure (or an array of them, and
+    of their masses, scales and atom counts), roundoff settled: DomainError where val
+    is not finite or is below -1e-10 mass^2 scale; exactly 0 up to 2 (n + 1) u mass^2
+    scale; val above that.
+
+    mass is sum |w_i| over the n atoms summed, scale the largest |K_ij| and u = 2**-53.
+    In any order of summation w'(Kw) is off by at most ((1 + g)^2 - 1) mass^2 scale,
+    g = n u / (1 - n u), which is below the zero band's bound while n u <= 1e-9, far
+    past any Gram matrix that fits in memory.
+    """
+    if not np.all(np.isfinite(val)):
+        raise DomainError(OVERFLOW)
+    size = mass * mass * scale
+    if np.any(val < -1e-10 * size):
+        raise DomainError(f"quadratic form is negative beyond roundoff ({np.min(val)})")
+    return np.where(val <= (n + 1) * np.finfo(float).eps * size, 0.0, val)
+
+
 def _require_strict(phi: PhiProfile):
     if not is_strictly_pd_class(phi):
         raise ProfileClassError(
@@ -225,16 +244,37 @@ def _kme_groups(bounds: list, limit: int):
             first = last
 
 
+def _kme_self_terms(k1: KernelSpec, ms: tuple):
+    """Each w' K1 w of the measures ms, and K1(z, z) over their atoms, from each
+    measure's own block of K1."""
+    blocks = ((m.weights, k1._block(m.points, m.points)) for m in ms)
+    sq, diag = zip(*((w @ b @ w, np.diagonal(b)) for w, b in blocks))
+    return np.array(sq), np.concatenate(diag)
+
+
+def _kme_settle_terms(ms: tuple, diag: np.ndarray):
+    """What ``settle_form`` reads of each measure of ms: sum |w|, the largest K1(z, z)
+    over its atoms (diag, all atoms of ms in order) and its atom count."""
+    atoms = [len(m.weights) for m in ms]
+    starts = np.cumsum([0] + atoms[:-1])
+    weights = np.concatenate([m.weights for m in ms])
+    return (np.add.reduceat(np.abs(weights), starts), np.maximum.reduceat(diag, starts),
+            np.array(atoms))
+
+
 def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
     """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu;
     exactly 0 where both sides are the same measure (equal ``measure_key``), and
-    clamped at 0 against roundoff.
+    otherwise settled as the form of mu - nu (``settle_form``): its mass
+    sum |w_mu| + sum |w_nu|, its scale the larger of the two measures' largest
+    K1(z, z), its atoms both measures' atoms.
 
     K1 is evaluated for runs of consecutive measures of xs against all atoms of
     ys.  A run spans at most max(one measure's atoms, DIFF_BLOCK // atoms of ys)
     rows, so that a block of K1 holds at most DIFF_BLOCK entries or the rows of a
-    single measure.  When ys is xs, each ||Phi(mu)||^2 = w_mu' K1 w_mu is read
-    off mu's diagonal block in its run; otherwise each side's own blocks give it.
+    single measure.  When ys is xs, each ||Phi(mu)||^2 = w_mu' K1 w_mu and each
+    K1(z, z) is read off mu's diagonal block in its run; otherwise each side's own
+    blocks give them.
     """
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
@@ -242,24 +282,27 @@ def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
     wy = np.concatenate([nu.weights for nu in ys])
     starts = np.cumsum([0] + [len(nu.weights) for nu in ys[:-1]])
     bx = np.cumsum([0] + [len(mu.weights) for mu in xs]).tolist()
-    inner, sx = np.empty((len(xs), len(ys))), np.empty(len(xs))
+    inner, sx, dx = np.empty((len(xs), len(ys))), np.empty(len(xs)), np.empty(len(ax))
     for first, last in _kme_groups(bx, spaces.DIFF_BLOCK // len(ay)):
         block = k1._block(ax[bx[first]:bx[last]], ay)
+        if ys is xs:
+            dx[bx[first]:bx[last]] = np.diagonal(block, bx[first])
         for i in range(first, last):
             w, rows = xs[i].weights, block[bx[i] - bx[first]:bx[i + 1] - bx[first]]
             inner[i] = np.add.reduceat(w @ rows * wy, starts)
             if ys is xs:
                 sx[i] = w @ rows[:, bx[i]:bx[i + 1]] @ w
-    sy = sx
+    sy, dy = sx, dx
     if ys is not xs:
-        sx, sy = ([m.weights @ k1._block(m.points, m.points) @ m.weights for m in ms]
-                  for ms in (xs, ys))
+        (sx, dx), (sy, dy) = (_kme_self_terms(k1, ms) for ms in (xs, ys))
     d2 = np.add.outer(sx, sy) - 2.0 * inner
     ids = {}
     ix = [ids.setdefault(measure_key(m), len(ids)) for m in xs]
     iy = [ids.setdefault(measure_key(m), len(ids)) for m in ys]
     d2[np.equal.outer(ix, iy)] = 0.0
-    return np.maximum(d2, 0.0)
+    tx = _kme_settle_terms(xs, dx)
+    (mx, cx, nx), (my, cy, ny) = tx, tx if ys is xs else _kme_settle_terms(ys, dy)
+    return settle_form(d2, np.add.outer(mx, my), np.maximum.outer(cx, cy), np.add.outer(nx, ny))
 
 
 @dataclass(frozen=True)

@@ -108,14 +108,50 @@ def test_csv_errors_name_the_line_blank_lines_counted(tmp_path, read, text, erro
         read(path)
 
 
-def test_write_gram_csv_matches_per_value_format(tmp_path, rng):
-    entries = rng.normal(size=(7, 7)) * 10.0 ** rng.integers(-300, 300, size=(7, 7))
+def _wide_magnitudes(rng, shape):
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+
+
+def _not_symmetric(rng):
+    entries = _wide_magnitudes(rng, (7, 7))
     entries[0, :4] = [0.0, -0.0, 5e-324, 1.0]
+    return entries
+
+
+def _symmetric(rng):
+    upper = np.triu(_wide_magnitudes(rng, (7, 7)))
+    return upper + np.triu(upper, 1).T
+
+
+def _symmetric_edge_pairs(rng):
+    # each mirrored pair but the signed zeros has the same bits on both sides
+    entries = _symmetric(rng)[:6, :6]
+    for (i, j), (upper, lower) in {(0, 1): (0.0, -0.0), (2, 3): (np.nan, np.nan),
+                                   (0, 4): (np.inf, np.inf), (1, 5): (-np.inf, -np.inf),
+                                   (2, 5): (5e-324, 5e-324), (3, 3): (-0.0, -0.0)}.items():
+        entries[i, j], entries[j, i] = upper, lower
+    return entries
+
+
+@pytest.mark.parametrize("make", [
+    _not_symmetric,
+    _symmetric,
+    _symmetric_edge_pairs,
+    lambda rng: rng.normal(size=(5, 7)),
+    lambda rng: rng.normal(size=(7, 5)),
+    lambda rng: rng.normal(size=(1, 1)),
+    lambda rng: np.zeros((0, 0)),
+    lambda rng: np.zeros((3, 0)),
+], ids=["7x7", "symmetric", "symmetric_edge_pairs", "5x7", "7x5", "1x1", "0x0", "3x0"])
+def test_write_gram_csv_matches_per_value_format(tmp_path, rng, make):
+    entries = make(rng)
     path = tmp_path / "gram.csv"
     write_gram_csv(str(path), entries)
-    per_value = "".join(",".join(fmt(v) for v in row) + "\n" for row in entries)
+    # a line per row, ended by a newline; a 0 x 0 matrix gives one empty line
+    per_value = "\n".join(",".join(fmt(v) for v in row) for row in entries) + "\n"
     assert path.read_text() == per_value
-    np.testing.assert_array_equal(read_gram_csv(str(path)), entries)
+    if entries.size:
+        np.testing.assert_array_equal(read_gram_csv(str(path)), entries)
 
 
 def test_kernel_from_json_default_value():
@@ -203,7 +239,9 @@ def test_cli_gram_on_a_grid_file_equals_the_library(tmp_path):
                  "--points", write(tmp_path / "f.csv", "".join(
                      ",".join(fmt(v) for v in row) + "\n" for row in fs))]) == 0
     k = make_distance_kernel(LpMetric(grid, 1.5), np.zeros(16))
-    np.testing.assert_array_equal(read_gram_csv(str(out)), gram(k, fs).entries)
+    entries = gram(k, fs).entries
+    np.testing.assert_array_equal(read_gram_csv(str(out)), entries)
+    assert out.read_text() == "".join(",".join(fmt(v) for v in row) + "\n" for row in entries)
 
 
 def test_cli_gram_missing_points_is_usage_error(tmp_path, kernel_file):

@@ -25,6 +25,7 @@ from kernmetric import (
     ShapeError,
     dirac,
     gram,
+    kme_sq_norm,
     make_distance_kernel,
     make_fourier_measure,
     make_kme_measure,
@@ -34,6 +35,7 @@ from kernmetric import (
     make_quantile_monge,
     make_radial_hilbert,
     make_tee_radial,
+    measure_difference,
     permutation_test,
     quantile_sq_w2,
     trapezoid_grid,
@@ -328,6 +330,16 @@ def test_kme_measure_two_diracs():
     arg = 2.0 - 2.0 * math.exp(-1.0)
     assert k(mu, nu) == pytest.approx(PHI(arg), rel=1e-14)
     assert arg == pytest.approx(1.2642411, abs=1e-7)
+
+
+def test_kme_measure_of_close_diracs_settles_as_kme_sq_norm():
+    # K1(0, h) rounds to 1 - 4u at h = 3e-8: the computed squared distance, 8.9e-16,
+    # lies in the zero band of delta_0 - delta_h, where kme_sq_norm reads 0
+    k1 = make_radial_hilbert(PHI, E1)
+    k2 = make_kme_measure(PHI, k1)
+    d0, dh = dirac(E1, one_d(0.0)), dirac(E1, one_d(3e-8))
+    assert k2(d0, dh) == k2(d0, d0)
+    assert k2.arg((d0,), (dh,))[0, 0] == kme_sq_norm(k1, measure_difference(d0, dh)) == 0.0
 
 
 def test_kme_measure_matches_double_loop(rng):

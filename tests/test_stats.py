@@ -388,6 +388,15 @@ def test_permutation_p_value_range(rng):
     assert res.estimator == "u_statistic"
 
 
+def test_permutation_default_seed_is_zero(rng):
+    k = make_radial_hilbert(PHI, E1)
+    xs = [one_d(v) for v in rng.normal(size=5)]
+    ys = [one_d(v) for v in rng.normal(size=5)]
+    res = permutation_test(k, xs, ys, n_perm=99)
+    assert res == permutation_test(k, xs, ys, n_perm=99, seed=0)
+    assert res.seed == 0
+
+
 def test_permutation_rejects_zero_perms():
     k = make_radial_hilbert(PHI, E1)
     pts = [one_d(0.0), one_d(1.0)]
