@@ -10,7 +10,7 @@ from .errors import (
     ProfileClassError,
     ShapeError,
 )
-from .io import profile_from_json, profile_to_json
+from .io import profile_from_json
 from .kernels import (
     DiagonalScale,
     Identity,

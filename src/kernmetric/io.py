@@ -42,7 +42,6 @@ __all__ = [
     "read_gram_csv",
     "kernel_from_json",
     "profile_from_json",
-    "profile_to_json",
     "scenario_from_json",
     "default_kernel",
 ]
@@ -296,17 +295,6 @@ def profile_from_json(obj) -> PhiProfile:
             raise ParseError(f"'atoms' must be [rate, weight] pairs, got {obj['atoms']!r}")
         return DiscreteLaplace(tuple(map(tuple, atoms)))
     return _PROFILES[family](**{k: _number(obj, k) for k in obj if k != "family"})
-
-
-def profile_to_json(profile: PhiProfile) -> dict:
-    """The JSON object form of a profile, as ``profile_from_json`` reads it."""
-    family = {cls: name for name, cls in _PROFILES.items()}.get(type(profile))
-    if family is None:
-        raise DomainError(f"not a known profile: {profile!r}")
-    params = {f.name: getattr(profile, f.name) for f in fields(profile)}
-    if isinstance(profile, DiscreteLaplace):
-        params["atoms"] = [list(a) for a in profile.atoms]
-    return {"family": family, **params}
 
 
 def _grid(obj: dict, key: str, grid: Optional[QuadratureGrid], default=None) -> QuadratureGrid:

@@ -263,11 +263,11 @@ def _kme_settle_terms(ms: tuple, diag: np.ndarray):
 
 
 def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
-    """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu;
-    exactly 0 where both sides are the same measure (equal ``measure_key``), and
-    otherwise settled as the form of mu - nu (``settle_form``): its mass
+    """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
+    settled as the form of mu - nu (``settle_form``): its mass
     sum |w_mu| + sum |w_nu|, its scale the larger of the two measures' largest
-    K1(z, z), its atoms both measures' atoms.
+    K1(z, z), its atoms both measures' atoms.  Equal measures differ only by
+    roundoff, which the zero band bounds, so their distance is exactly 0.
 
     K1 is evaluated for runs of consecutive measures of xs against all atoms of
     ys.  A run spans at most max(one measure's atoms, DIFF_BLOCK // atoms of ys)
@@ -296,10 +296,6 @@ def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
     if ys is not xs:
         (sx, dx), (sy, dy) = (_kme_self_terms(k1, ms) for ms in (xs, ys))
     d2 = np.add.outer(sx, sy) - 2.0 * inner
-    ids = {}
-    ix = [ids.setdefault(measure_key(m), len(ids)) for m in xs]
-    iy = [ids.setdefault(measure_key(m), len(ids)) for m in ys]
-    d2[np.equal.outer(ix, iy)] = 0.0
     tx = _kme_settle_terms(xs, dx)
     (mx, cx, nx), (my, cy, ny) = tx, tx if ys is xs else _kme_settle_terms(ys, dy)
     return settle_form(d2, np.add.outer(mx, my), np.maximum.outer(cx, cy), np.add.outer(nx, ny))

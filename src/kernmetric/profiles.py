@@ -190,8 +190,6 @@ def complete_monotonicity_check(
     tol = 1e-10 * abs(float(profile(0.0)))
     diffs = values
     for order in range(max_order + 1):
-        if diffs.size == 0:
-            break
         if np.any(((-1.0) ** order) * diffs < -tol):
             return False
         diffs = np.diff(diffs)

@@ -223,10 +223,6 @@ class DiscreteMeasure:
     def is_probability(self) -> bool:
         return bool(np.all(self.weights > 0)) and abs(self.total_mass - 1.0) <= 1e-12
 
-    @property
-    def is_zero_mass(self) -> bool:
-        return abs(self.total_mass) <= 1e-12
-
 
 def measure_key(m: DiscreteMeasure) -> bytes:
     """The bytes of a measure's weights and support points, for ordering arguments

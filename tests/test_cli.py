@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernmetric import (DiscreteMeasure, DomainError, Euclidean, FuncLp, Gaussian, LpMetric,
-                        MeasurePoints, QuadratureGrid, ShapeError, gram, kernel_scores,
-                        make_distance_kernel, make_fourier_measure, make_kme_measure,
-                        make_lp_operator, make_radial_hilbert, selfcheck, trapezoid_grid)
+from kernmetric import (DiagonalScale, DiscreteLaplace, DiscreteMeasure, DomainError, Euclidean,
+                        EuclideanMetric, ExpSqrt, FuncLp, Gaussian, Identity, InverseRational,
+                        LinearGridMap, LpMetric, MeasurePoints, QuadratureGrid, ShapeError, gram,
+                        kernel_scores, make_distance_kernel, make_fourier_measure,
+                        make_kme_measure, make_lp_operator, make_metric_phi, make_mixture,
+                        make_quantile_monge, make_radial_hilbert, make_tee_radial, selfcheck,
+                        trapezoid_grid)
 from kernmetric.cli import _scenario_samples, main
 from kernmetric.io import (
     ParseError,
@@ -36,6 +39,7 @@ from kernmetric.spaces import stack_points
 from conftest import random_prob_measure
 
 PHI = Gaussian(alpha=0.5)
+PHI_JSON = {"family": "gaussian", "alpha": 0.5}
 
 
 def write(path, text):
@@ -246,6 +250,19 @@ def test_cli_gram_on_a_grid_file_equals_the_library(tmp_path):
 
 def test_cli_gram_missing_points_is_usage_error(tmp_path, kernel_file):
     assert main(["gram", "--kernel", kernel_file, "--out", str(tmp_path / "g.csv")]) == 2
+
+
+@pytest.mark.parametrize("command,given,missing", [
+    ("mmd", "y", "x"), ("mmd", "x", "y"), ("test2", "y", "x"), ("test2", "x", "y"),
+    ("power", "scenario", "out"), ("power", "out", "scenario")])
+def test_cli_missing_required_flag_is_usage_error(tmp_path, capsys, command, given, missing):
+    files = {"x": write(tmp_path / "x.csv", "x1,weight\n0,0.5\n1,0.5\n"),
+             "y": write(tmp_path / "y.csv", "x1,weight\n0.5,1\n"),
+             "scenario": write(tmp_path / "s.json", '{"kind": "euclidean_mean_shift"}'),
+             "out": str(tmp_path / "out.csv")}
+    assert main([command, f"--{given}", files[given]]) == 2
+    assert capsys.readouterr() == ("", f"error: --{missing} is required\n")
+    assert not Path(files["out"]).exists()
 
 
 def test_cli_gram_nonexistent_file(tmp_path, kernel_file):
@@ -1001,6 +1018,102 @@ def test_cli_listed_specs_build_and_run_mmd(tmp_path, capsys, spec):
     else:
         assert code == 0 and err == ""
         assert json.loads(out)["mmd"] > 0.0
+
+
+def _radial_spec(space, phi):
+    return {"space": space, "rule": {"kind": "radial_hilbert"}, "phi": phi}
+
+
+_E2 = {"kind": "euclidean", "dim": 2}
+#: an inline trapezoid grid of the {"m", "a", "b"} form, and the grid it reads as
+_INLINE_GRID, _GRID = {"m": 5, "a": -1.0, "b": 2.0}, trapezoid_grid(5, -1.0, 2.0)
+
+
+def _tee_spec(map_spec):
+    return {"space": _E2, "rule": {"kind": "tee_radial", "map": map_spec}}
+
+
+#: (spec, the same kernel built by its constructor, the kind of its points): each rule
+#: kind and each map kind of the kernel reader, three of them on an inline grid
+_KIND_CASES = {
+    "radial_hilbert": (
+        _radial_spec(_E2, {"family": "inverse_rational", "beta": 2.0, "scale": 0.5}),
+        lambda: make_radial_hilbert(InverseRational(beta=2.0, scale=0.5), Euclidean(2)), "e2"),
+    "radial_hilbert-func_lp": (
+        _radial_spec({"kind": "func_lp", "grid": _INLINE_GRID, "p": 2}, PHI_JSON),
+        lambda: make_radial_hilbert(PHI, FuncLp(_GRID, 2.0)), "f5"),
+    "tee_radial-identity": (
+        _tee_spec({"kind": "identity"}),
+        lambda: make_tee_radial(PHI, Identity(), Euclidean(2)), "e2"),
+    "tee_radial-diagonal_scale": (
+        _tee_spec({"kind": "diagonal_scale", "factors": [2.0, 0.5]}),
+        lambda: make_tee_radial(PHI, DiagonalScale((2.0, 0.5)), Euclidean(2)), "e2"),
+    "tee_radial-linear_grid_map": (
+        _tee_spec({"kind": "linear_grid_map", "matrix": [[1.0, 2.0], [0.0, 1.0]]}),
+        lambda: make_tee_radial(PHI, LinearGridMap(np.array([[1.0, 2.0], [0.0, 1.0]])),
+                                Euclidean(2)), "e2"),
+    "lp_operator": (
+        {"rule": {"kind": "lp_operator", "grid": _INLINE_GRID, "p": 1.5,
+                  "k1": _radial_spec({"kind": "euclidean", "dim": 1},
+                                     {"family": "gaussian", "alpha": 2.0})},
+         "phi": {"family": "exp_sqrt", "c": 1.5}},
+        lambda: make_lp_operator(ExpSqrt(c=1.5), make_radial_hilbert(Gaussian(alpha=2.0),
+                                                                     Euclidean(1)), _GRID, 1.5),
+        "f5"),
+    "metric_phi": (
+        {"rule": {"kind": "metric_phi", "metric": {"kind": "lp", "grid": _INLINE_GRID, "p": 1.5}},
+         "phi": {"family": "discrete_laplace", "atoms": [[0.5, 1.0], [2.0, 0.5]]}},
+        lambda: make_metric_phi(DiscreteLaplace(atoms=((0.5, 1.0), (2.0, 0.5))),
+                                LpMetric(_GRID, 1.5)), "f5"),
+    "distance": (
+        {"rule": {"kind": "distance", "metric": {"kind": "euclidean", "dim": 2},
+                  "z0": [0.5, -1.0]}},
+        lambda: make_distance_kernel(EuclideanMetric(2), np.array([0.5, -1.0])), "e2"),
+    "mixture": (
+        {"rule": {"kind": "mixture", "components": [
+            {"kernel": _radial_spec(_E2, PHI_JSON), "weight": 0.25},
+            {"kernel": _radial_spec(_E2, {"family": "exp_sqrt", "c": 1.0}), "weight": 1.5}]}},
+        lambda: make_mixture([(make_radial_hilbert(PHI, Euclidean(2)), 0.25),
+                              (make_radial_hilbert(ExpSqrt(c=1.0), Euclidean(2)), 1.5)]), "e2"),
+    "kme_measure": (
+        {"rule": {"kind": "kme_measure",
+                  "k1": _radial_spec(_E2, {"family": "gaussian", "alpha": 1.0})},
+         "phi": {"family": "exp_sqrt", "c": 1.5}},
+        lambda: make_kme_measure(ExpSqrt(c=1.5), make_radial_hilbert(Gaussian(alpha=1.0),
+                                                                     Euclidean(2))), "m2"),
+    "fourier_measure": (
+        {"rule": {"kind": "fourier_measure", "freqs": [[0.5, 1.0], [1.0, -2.0]],
+                  "freq_weights": [0.25, 0.75]}},
+        lambda: make_fourier_measure(PHI, [[0.5, 1.0], [1.0, -2.0]], [0.25, 0.75]), "m2"),
+    "fourier_measure-gaussian": (
+        {"rule": {"kind": "fourier_measure", "freqs": "gaussian", "dim": 2}},
+        lambda: make_kme_measure(PHI, make_radial_hilbert(PHI, Euclidean(2))), "m2"),
+    "quantile_monge": (
+        {"rule": {"kind": "quantile_monge", "u_grid": {"m": 8, "a": 0.0, "b": 1.0}}},
+        lambda: make_quantile_monge(PHI, trapezoid_grid(8)), "m1"),
+}
+
+
+def test_kind_cases_cover_every_rule_and_map_kind():
+    from kernmetric.io import _MAPS, _RULES
+
+    kinds = {spec["rule"]["kind"] for spec, _, _ in _KIND_CASES.values()}
+    maps = {spec["rule"]["map"]["kind"] for spec, _, _ in _KIND_CASES.values()
+            if "map" in spec["rule"]}
+    assert (kinds, maps) == (set(_RULES), set(_MAPS))
+
+
+@pytest.mark.parametrize("case", sorted(_KIND_CASES))
+def test_each_spec_kind_builds_its_own_kernel(rng, case):
+    """kernel_from_json of each kind gives the values of its own constructor, bit for bit."""
+    spec, build, points = _KIND_CASES[case]
+    draw = {"e2": lambda size: rng.normal(size=(size, 2)),
+            "f5": lambda size: rng.normal(size=(size, 5)),
+            "m2": lambda size: [random_prob_measure(rng, dim=2) for _ in range(size)],
+            "m1": lambda size: [random_prob_measure(rng, dim=1) for _ in range(size)]}[points]
+    xs, ys = draw(4), draw(3)
+    np.testing.assert_array_equal(kernel_from_json(spec).pairwise(xs, ys),
+                                  build().pairwise(xs, ys))
 
 
 def _at(node, path):

@@ -332,6 +332,14 @@ def test_kme_measure_two_diracs():
     assert arg == pytest.approx(1.2642411, abs=1e-7)
 
 
+def test_kme_measure_blocks_with_an_empty_side(rng):
+    k = make_kme_measure(PHI, make_radial_hilbert(PHI, E2))
+    ms = [random_prob_measure(rng) for _ in range(3)]
+    assert gram(k, []).entries.shape == (0, 0)
+    assert k.pairwise([], ms).shape == (0, 3)
+    assert k.pairwise(ms, []).shape == (3, 0)
+
+
 def test_kme_measure_of_close_diracs_settles_as_kme_sq_norm():
     # K1(0, h) rounds to 1 - 4u at h = 3e-8: the computed squared distance, 8.9e-16,
     # lies in the zero band of delta_0 - delta_h, where kme_sq_norm reads 0

@@ -146,7 +146,6 @@ def test_measure_flags():
     space = Euclidean(1)
     mu = DiscreteMeasure(space, (np.array([0.0]), np.array([1.0])), np.array([0.3, 0.7]))
     assert mu.is_probability
-    assert not mu.is_zero_mass
     nu = DiscreteMeasure(space, (np.array([0.0]),), np.array([-0.4]))
     assert not nu.is_probability
 
@@ -158,7 +157,6 @@ def test_measure_difference_examples():
     )
     d = measure_difference(mu, mu)
     assert d.total_mass == 0.0
-    assert d.is_zero_mass
 
     dx, dy = dirac(space, np.array([0.0])), dirac(space, np.array([2.0]))
     d = measure_difference(dx, dy)

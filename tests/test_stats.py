@@ -13,6 +13,7 @@ from kernmetric import (
     FuncLp,
     Gaussian,
     InverseRational,
+    ShapeError,
     dirac,
     divergence,
     energy_distance,
@@ -109,6 +110,16 @@ def test_mmd_rejects_signed_measure(k2):
         mmd(k2, bad, good)
 
 
+@pytest.mark.parametrize("weights", [[1.5, -0.5], [0.25, 0.5]], ids=["signed", "mass"])
+@pytest.mark.parametrize("stat", ["mmd", "divergence", "energy_distance"])
+def test_two_measure_statistics_refuse_a_non_probability_q(k2, stat, weights):
+    q = DiscreteMeasure(E2, (np.zeros(2), np.ones(2)), np.array(weights))
+    run = {"mmd": lambda p: mmd(k2, p, q), "divergence": lambda p: divergence(k2, p, q),
+           "energy_distance": lambda p: energy_distance(EuclideanMetric(2), p, q)}[stat]
+    with pytest.raises(DomainError, match="Q must be a probability"):
+        run(dirac(E2, np.zeros(2)))
+
+
 # ---------------------------------------------------------------------------
 # near zero: mmd, scores, divergence and energy distance settle the roundoff of
 # their quadratic form by one rule (embeddings.settle_form)
@@ -199,17 +210,33 @@ def test_kernel_score_nonnegative(k2, rng):
 
 
 def test_kernel_scores_compute_the_self_term_once(k2, rng, monkeypatch):
-    import kernmetric.stats as stats
+    """One block of the forecast's own atoms per call, not one per outcome."""
+    from kernmetric.kernels import KernelSpec
 
     p = random_prob_measure(rng, atoms=6)
     xs = [rng.normal(size=2) for _ in range(9)]
     one_by_one = [kernel_score(k2, p, x) for x in xs]
-    calls = []
-    monkeypatch.setattr(stats, "kme_sq_norm", lambda k, mu: calls.append(mu) or kme_sq_norm(k, mu))
+    shapes = []
+    pairwise = KernelSpec.pairwise
+    monkeypatch.setattr(KernelSpec, "pairwise",
+                        lambda k, a, b: shapes.append((len(a), len(b))) or pairwise(k, a, b))
     np.testing.assert_array_equal(kernel_scores(k2, p, xs), one_by_one)
     q = random_prob_measure(rng, atoms=5)
     expected_score(k2, p, q)
-    assert len(calls) == 2
+    # the 6 x 6 self blocks and the cross blocks with 9 and with 5 outcomes
+    assert sorted(shapes) == [(6, 5), (6, 6), (6, 6), (6, 9)]
+
+
+def test_kernel_scores_refuse_a_forecast_on_another_space():
+    k = make_radial_hilbert(PHI, FuncLp(trapezoid_grid(2), 2.0))
+    with pytest.raises(ShapeError, match="kernel's space"):
+        kernel_scores(k, dirac(E2, np.zeros(2)), [np.zeros(2)])
+
+
+def test_expected_score_refuses_a_non_probability_outcome_distribution(k2):
+    outcomes = DiscreteMeasure(E2, (np.zeros(2), np.ones(2)), np.array([1.5, -0.5]))
+    with pytest.raises(DomainError, match="outcome distribution must be a probability"):
+        expected_score(k2, dirac(E2, np.zeros(2)), outcomes)
 
 
 def test_distance_kernel_diagonal_is_one_batch(rng, monkeypatch):
@@ -485,9 +512,10 @@ def _copy_loop_permutation_test(k, xs, ys, n_perm, seed):
     return observed, (1.0 + count) / (n_perm + 1.0)
 
 
-@pytest.mark.parametrize("n,m,n_perm", [(2, 2, 5), (3, 7, 130), (20, 20, 99), (100, 100, 999)])
+@pytest.mark.parametrize("n,m,n_perm", [(20, 20, 99), (100, 100, 999)])
 def test_permutation_matches_copy_loop_bitwise(n, m, n_perm):
-    # small samples repeat the observed split, so exact ties are common there
+    # no replicate of these draws lies within the tie band of the observed statistic,
+    # so the copy loop's comparisons decide every count as the band rule does
     k = make_radial_hilbert(PHI, E2)
     rng = np.random.default_rng(n * 1000 + m)
     for seed in range(6 if n < 100 else 1):
@@ -495,6 +523,80 @@ def test_permutation_matches_copy_loop_bitwise(n, m, n_perm):
         ys = list(rng.normal(size=(m, 2)) + 0.2 * seed)
         res = permutation_test(k, xs, ys, n_perm=n_perm, seed=seed)
         assert (res.statistic, res.p_value) == _copy_loop_permutation_test(k, xs, ys, n_perm, seed)
+
+
+def _exact_p_value(k, xs, ys, n_perm, seed):
+    """Reference: the p-value of the same replicates, each decided by exact (fractions)
+    U-statistics of the same float Gram, with each split's statistic summed once."""
+    from fractions import Fraction
+
+    from kernmetric.kernels import _base_gram
+
+    n, m = len(xs), len(ys)
+    g = [[Fraction(v) for v in row] for row in _base_gram(k, list(xs) + list(ys)).tolist()]
+    statistics = {}
+
+    def u_statistic(split):
+        if split not in statistics:
+            # sums[b]: the off-diagonal entries with b of their two indices in X, so
+            # sums[1] holds each cross pair twice, as (x, y) and as (y, x)
+            sums = [Fraction(0)] * 3
+            for i, row in enumerate(g):
+                for j, v in enumerate(row):
+                    if i != j:
+                        sums[(i in split) + (j in split)] += v
+            statistics[split] = (sums[2] / (n * (n - 1)) + sums[0] / (m * (m - 1))
+                                 - sums[1] / (n * m))
+        return statistics[split]
+
+    observed = u_statistic(frozenset(range(n)))
+    count = sum(u_statistic(frozenset(np.random.default_rng(child).permutation(n + m)[:n].tolist()))
+                >= observed for child in np.random.SeedSequence(seed).spawn(n_perm))
+    return (1 + count) / (n_perm + 1)
+
+
+@pytest.mark.parametrize("n,m,n_perm", [(2, 2, 5), (3, 7, 130)])
+def test_permutation_count_matches_exact_count(n, m, n_perm):
+    # small samples repeat the observed split, so exact ties are common there
+    k = make_radial_hilbert(PHI, E2)
+    rng = np.random.default_rng(n * 1000 + m)
+    for seed in range(6):
+        xs = list(rng.normal(size=(n, 2)))
+        ys = list(rng.normal(size=(m, 2)) + 0.2 * seed)
+        res = permutation_test(k, xs, ys, n_perm=n_perm, seed=seed)
+        assert res.statistic == mmd_u_statistic(k, xs, ys)
+        assert res.p_value == _exact_p_value(k, xs, ys, n_perm, seed)
+
+
+def test_permutation_counts_the_observed_split_and_its_complement():
+    # n = m = 3 has 20 splits, two of which (the observed one and its complement)
+    # tie T, so no p-value below 0.1 is right; summed in another order than T,
+    # their replicates can read below it
+    k = make_radial_hilbert(PHI, E2)
+    z = np.random.default_rng(50).normal(size=(6, 2))
+    xs, ys = list(z[:3]), list(z[3:])
+    res = permutation_test(k, xs, ys, n_perm=999, seed=0)
+    assert res.p_value == _exact_p_value(k, xs, ys, 999, 0) == 0.102
+
+
+def _tie_heavy_samples(kind, rng):
+    n, m = (int(size) for size in rng.integers(2, 6, size=2))
+    if kind == "lattice":
+        # a few points, repeated: many splits share one statistic
+        return ([one_d(v) for v in rng.integers(0, 3, size=n)],
+                [one_d(v) for v in rng.integers(0, 3, size=m)])
+    xs = [one_d(v) for v in rng.normal(size=n)]
+    return xs, [-x for x in xs]
+
+
+@pytest.mark.parametrize("kind", ["lattice", "mirrored"])
+def test_permutation_count_matches_exact_count_on_tie_heavy_draws(kind):
+    k = make_radial_hilbert(PHI, E1)
+    rng = np.random.default_rng(len(kind))
+    for seed in range(25):
+        xs, ys = _tie_heavy_samples(kind, rng)
+        res = permutation_test(k, xs, ys, n_perm=199, seed=seed)
+        assert res.p_value == _exact_p_value(k, xs, ys, 199, seed)
 
 
 def test_permutation_test_result_json(rng):
