@@ -1,4 +1,6 @@
+import dataclasses
 import decimal
+import json
 import math
 import warnings
 
@@ -189,6 +191,15 @@ def test_profiles_nonincreasing(t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
     for phi in ALL_PROFILES:
         assert phi(hi) <= phi(lo) + 1e-12 * phi(0.0)
+
+
+def test_json_round_trip():
+    # each profile's fields, written as JSON text under its family name, read back equal
+    families = {Gaussian: "gaussian", DiscreteLaplace: "discrete_laplace",
+                ExpSqrt: "exp_sqrt", InverseRational: "inverse_rational"}
+    for phi in ALL_PROFILES:
+        text = json.dumps({"family": families[type(phi)], **dataclasses.asdict(phi)})
+        assert profile_from_json(json.loads(text)) == phi
 
 
 def test_json_known_forms():
