@@ -295,7 +295,8 @@ def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
     sy, dy = sx, dx
     if ys is not xs:
         (sx, dx), (sy, dy) = (_kme_self_terms(k1, ms) for ms in (xs, ys))
-    d2 = np.add.outer(sx, sy) - 2.0 * inner
+    with np.errstate(over="ignore", invalid="ignore"):  # settle_form refuses what is not finite
+        d2 = np.add.outer(sx, sy) - 2.0 * inner
     tx = _kme_settle_terms(xs, dx)
     (mx, cx, nx), (my, cy, ny) = tx, tx if ys is xs else _kme_settle_terms(ys, dy)
     return settle_form(d2, np.add.outer(mx, my), np.maximum.outer(cx, cy), np.add.outer(nx, ny))

@@ -350,6 +350,18 @@ def test_kme_measure_of_close_diracs_settles_as_kme_sq_norm():
     assert k2.arg((d0,), (dh,))[0, 0] == kme_sq_norm(k1, measure_difference(d0, dh)) == 0.0
 
 
+def test_kme_measure_refuses_equal_measures_on_an_overflowing_base_kernel():
+    # K1(x, x) = 2 |x - z0| overflows, so the form of mu - mu is not finite and has
+    # no zero to settle to, as kme_sq_norm(K1, mu) has none
+    k1 = make_distance_kernel(EuclideanMetric(1), one_d(0.0))
+    k2 = make_kme_measure(PHI, k1)
+    mu = dirac(E1, one_d(1e308))
+    for evaluate in (lambda: k2(mu, mu), lambda: gram(k2, [mu, mu]),
+                     lambda: kme_sq_norm(k1, mu)):
+        with pytest.raises(DomainError, match="overflow"):
+            evaluate()
+
+
 def test_kme_measure_matches_double_loop(rng):
     base = make_radial_hilbert(Gaussian(alpha=1.0), E2)
     k = make_kme_measure(PHI, base)

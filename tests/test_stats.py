@@ -525,6 +525,58 @@ def test_permutation_matches_copy_loop_bitwise(n, m, n_perm):
         assert (res.statistic, res.p_value) == _copy_loop_permutation_test(k, xs, ys, n_perm, seed)
 
 
+def _row_sum_p_value(k, xs, ys, n_perm, seed):
+    """Reference for samples of which one is small: the p-value of the same replicates,
+    each statistic from the exact (fractions) sums over the small sample A and its
+    points' correctly rounded (``math.fsum``) Gram row sums, and the least distance,
+    relative to max|K|, of a replicate's statistic from T other than at T's own split.
+    The row sums' rounding moves a statistic by far less than 1e-12 max|K|."""
+    from fractions import Fraction
+
+    from kernmetric.kernels import _base_gram
+
+    n, m = len(xs), len(ys)
+    g = _base_gram(k, list(xs) + list(ys))
+    rows = [Fraction(math.fsum(row)) for row in g.tolist()]
+    total, trace = sum(rows), sum(Fraction(v) for v in np.diag(g).tolist())
+    a, b = min(n, m), max(n, m)
+
+    def u_statistic(small):
+        within = sum(Fraction(v) for v in g[np.ix_(small, small)].ravel().tolist())
+        diag = sum(Fraction(v) for v in g[small, small].tolist())
+        out = sum(rows[i] for i in small)
+        return ((within - diag) / (a * (a - 1))
+                + (total - 2 * out + within - (trace - diag)) / (b * (b - 1))
+                - 2 * (out - within) / (a * b))
+
+    def small_side(perm):
+        return sorted(perm[:n] if n == a else perm[n:])
+
+    own = small_side(list(range(n + m)))
+    observed = u_statistic(own)
+    count, gap = 0, math.inf
+    for child in np.random.SeedSequence(seed).spawn(n_perm):
+        small = small_side(np.random.default_rng(child).permutation(n + m).tolist())
+        statistic = u_statistic(small)
+        count += statistic >= observed
+        if small != own:
+            gap = min(gap, abs(float(statistic - observed)))
+    return (1 + count) / (n_perm + 1), gap / np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2000), (2000, 2)])
+def test_permutation_counts_no_replicate_below_t_for_a_small_sample(n, m):
+    # no replicate here lies within 1e-3 max|K| of T; a band that divided every
+    # sum's error by the smaller sample's normaliser alone was 0.029 max|K| for
+    # these sizes, and counted 2 to 4 of the 99 replicates below T
+    k = make_radial_hilbert(PHI, E2)
+    z = np.random.default_rng(n * 1000 + m).normal(size=(n + m, 2))
+    xs, ys = list(z[:n]), list(z[n:])
+    p_value, gap = _row_sum_p_value(k, xs, ys, 99, 1)
+    assert gap > 1e-9
+    assert permutation_test(k, xs, ys, n_perm=99, seed=1).p_value == p_value
+
+
 def _exact_p_value(k, xs, ys, n_perm, seed):
     """Reference: the p-value of the same replicates, each decided by exact (fractions)
     U-statistics of the same float Gram, with each split's statistic summed once."""
