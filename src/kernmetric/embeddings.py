@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .kernels import KernelSpec, _base_gram, settle_form
+from .kernels import KernelSpec, _base_gram, self_forms, settle_form
 from .spaces import DiscreteMeasure
 
 __all__ = ["GramMatrix", "gram", "kme_sq_norm", "kme_inner", "min_eigenvalue"]
@@ -41,17 +41,11 @@ def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
     (phi(0) for a profile kernel), which bounds every |k(z_i, z_j)|: DomainError below
     -1e-10 (sum |w|)^2 s, exactly 0 up to 2 (n + 1) u (sum |w|)^2 s over n atoms
     (u = 2**-53), so that mu - mu has norm 0, and the computed value above that."""
-    form, scale = self_form(k, mu)
-    w = mu.weights
-    return float(settle_form(form, np.sum(np.abs(w)), scale, len(w)))
-
-
-def self_form(k: KernelSpec, mu: DiscreteMeasure):
-    """mu's form w'Gw and its largest k(z, z), read off one Gram block G of its atoms."""
     if mu.space != k.space:
         raise ShapeError("measure does not live on the kernel's space")
-    g = _base_gram(k, mu.points)
-    return mu.weights @ (g @ mu.weights), np.max(np.diag(g))
+    w = mu.weights
+    return float(settle_form(self_forms(k, [mu])[0], np.sum(np.abs(w)),
+                             np.max(k.diag(mu.points)), len(w)))
 
 
 def kme_inner(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -27,7 +27,8 @@ argument block ``arg(xs, ys)``:
 - rho(x, y), unsquared, for a metric of strong negative type
   (``make_metric_phi``).
 - ||Phi(mu) - Phi(nu)||^2 for the mean embedding Phi of a base kernel
-  (``make_kme_measure``).
+  (``make_kme_measure``): ``embedding_sq_dists``, which ``stats.mmd`` and
+  ``stats.divergence`` call too, so every such distance is computed one way.
 
 With finitely many frequency atoms the Fourier rule is positive definite but
 characteristic only in the limit, as a quadrature grid is for L^p.  For
@@ -37,6 +38,7 @@ N(0, I) atoms the limit is the mean-embedding rule over Gaussian(alpha=0.5)
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -61,6 +63,7 @@ from .spaces import (
     MetricSpec,
     PointSpace,
     QuadratureGrid,
+    join_points,
     measure_key,
     metric_dists,
     reduce_diffs,
@@ -137,12 +140,13 @@ def settle_form(val, mass, scale, n) -> np.ndarray:
     g = n u / (1 - n u), which is below the zero band's bound while n u <= 1e-9, far
     past any Gram matrix that fits in memory.
     """
-    if not np.all(np.isfinite(val)):
+    val = np.asarray(val)
+    if not np.isfinite(val).all():
         raise DomainError(OVERFLOW)
     size = mass * mass * scale
-    if np.any(val < -1e-10 * size):
+    if (val < -1e-10 * size).any():
         raise DomainError(f"quadratic form is negative beyond roundoff ({np.min(val)})")
-    return np.where(val <= (n + 1) * np.finfo(float).eps * size, 0.0, val)
+    return np.where(val <= (n + 1) * 2.0**-52 * size, 0.0, val)
 
 
 def _require_strict(phi: PhiProfile):
@@ -244,61 +248,51 @@ def _kme_groups(bounds: list, limit: int):
             first = last
 
 
-def _kme_self_terms(k1: KernelSpec, ms: tuple):
-    """Each w' K1 w of the measures ms, and K1(z, z) over their atoms, from each
-    measure's own block of K1."""
-    blocks = ((m.weights, k1._block(m.points, m.points)) for m in ms)
-    sq, diag = zip(*((w @ b @ w, np.diagonal(b)) for w, b in blocks))
-    return np.array(sq), np.concatenate(diag)
+def self_forms(k: KernelSpec, ms) -> np.ndarray:
+    """Each measure's form w'Kw, from the block of k over the measure's own atoms."""
+    return np.array([m.weights @ (k._block(m.points, m.points) @ m.weights) for m in ms])
 
 
-def _kme_settle_terms(ms: tuple, diag: np.ndarray):
-    """What ``settle_form`` reads of each measure of ms: sum |w|, the largest K1(z, z)
-    over its atoms (diag, all atoms of ms in order) and its atom count."""
-    atoms = [len(m.weights) for m in ms]
-    starts = np.cumsum([0] + atoms[:-1])
-    weights = np.concatenate([m.weights for m in ms])
-    return (np.add.reduceat(np.abs(weights), starts), np.maximum.reduceat(diag, starts),
-            np.array(atoms))
+def _support(k1: KernelSpec, ms: tuple):
+    """The atoms of the measures ms joined in order, their weights and the bounds of
+    each measure's atoms (``_kme_groups``), and what ``settle_form`` reads of each
+    measure: sum |w|, its largest K1(z, z) and its atom count."""
+    atoms, w = join_points(*(m.points for m in ms)), np.concatenate([m.weights for m in ms])
+    sizes = [len(m.weights) for m in ms]
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    return (atoms, w, bounds, np.add.reduceat(np.abs(w), bounds[:-1]),
+            np.maximum.reduceat(k1._diag(atoms), bounds[:-1]), sizes)
 
 
-def _kme_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
-    """||Phi(mu) - Phi(nu)||^2 over xs and ys from <Phi(mu), Phi(nu)> = w_mu' K1 w_nu,
-    settled as the form of mu - nu (``settle_form``): its mass
+def embedding_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
+    """||Phi(mu) - Phi(nu)||^2 = w_mu' K1 w_mu + w_nu' K1 w_nu - 2 w_mu' K1 w_nu over xs
+    and ys, settled as the form of mu - nu (``settle_form``): its mass
     sum |w_mu| + sum |w_nu|, its scale the larger of the two measures' largest
     K1(z, z), its atoms both measures' atoms.  Equal measures differ only by
     roundoff, which the zero band bounds, so their distance is exactly 0.
 
     K1 is evaluated for runs of consecutive measures of xs against all atoms of
-    ys.  A run spans at most max(one measure's atoms, DIFF_BLOCK // atoms of ys)
-    rows, so that a block of K1 holds at most DIFF_BLOCK entries or the rows of a
-    single measure.  When ys is xs, each ||Phi(mu)||^2 = w_mu' K1 w_mu and each
-    K1(z, z) is read off mu's diagonal block in its run; otherwise each side's own
-    blocks give them.
+    ys, each run at most max(one measure's atoms, DIFF_BLOCK // atoms of ys) rows.
+    A block's columns are summed by measure of ys, then its rows by measure of xs,
+    so that no value depends on the runs.  When ys is xs, w_mu' K1 w_mu is the
+    inner product of mu with itself, so mu's own distance is 0 by construction;
+    otherwise ``self_forms`` gives it.
     """
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
-    ax, ay = _rows_pair(lambda ms: np.concatenate([m.points for m in ms]), xs, ys)
-    wy = np.concatenate([nu.weights for nu in ys])
-    starts = np.cumsum([0] + [len(nu.weights) for nu in ys[:-1]])
-    bx = np.cumsum([0] + [len(mu.weights) for mu in xs]).tolist()
-    inner, sx, dx = np.empty((len(xs), len(ys))), np.empty(len(xs)), np.empty(len(ax))
+    (ax, wx, bx, mx, cx, nx), (ay, wy, by, my, cy, ny) = _rows_pair(partial(_support, k1), xs, ys)
+    inner = np.empty((len(xs), len(ys)))
     for first, last in _kme_groups(bx, spaces.DIFF_BLOCK // len(ay)):
-        block = k1._block(ax[bx[first]:bx[last]], ay)
-        if ys is xs:
-            dx[bx[first]:bx[last]] = np.diagonal(block, bx[first])
-        for i in range(first, last):
-            w, rows = xs[i].weights, block[bx[i] - bx[first]:bx[i + 1] - bx[first]]
-            inner[i] = np.add.reduceat(w @ rows * wy, starts)
-            if ys is xs:
-                sx[i] = w @ rows[:, bx[i]:bx[i + 1]] @ w
-    sy, dy = sx, dx
-    if ys is not xs:
-        (sx, dx), (sy, dy) = (_kme_self_terms(k1, ms) for ms in (xs, ys))
+        lo, hi = bx[first], bx[last]
+        cols = np.add.reduceat(k1._block(ax[lo:hi], ay) * wy, by[:-1], axis=1)
+        inner[first:last] = np.add.reduceat(wx[lo:hi, None] * cols,
+                                            np.subtract(bx[first:last], lo), axis=0)
+    if ys is xs:
+        sx = sy = np.diagonal(inner)
+    else:
+        sx, sy = self_forms(k1, xs), self_forms(k1, ys)
     with np.errstate(over="ignore", invalid="ignore"):  # settle_form refuses what is not finite
         d2 = np.add.outer(sx, sy) - 2.0 * inner
-    tx = _kme_settle_terms(xs, dx)
-    (mx, cx, nx), (my, cy, ny) = tx, tx if ys is xs else _kme_settle_terms(ys, dy)
     return settle_form(d2, np.add.outer(mx, my), np.maximum.outer(cx, cy), np.add.outer(nx, ny))
 
 
@@ -469,7 +463,7 @@ def make_kme_measure(phi: PhiProfile, k1: KernelSpec) -> KernelSpec:
     """Kernel on discrete measures through the mean embedding of k1."""
     if isinstance(k1.space, MeasurePoints):
         raise ShapeError("the base kernel must live on the base point space")
-    return _KmeMeasure(phi, MeasurePoints(k1.space), partial(_kme_sq_dists, k1))
+    return _KmeMeasure(phi, MeasurePoints(k1.space), partial(embedding_sq_dists, k1))
 
 
 def make_fourier_measure(phi: PhiProfile, freqs, freq_weights) -> KernelSpec:

@@ -133,12 +133,13 @@ def _check_positive(name: str, value: float):
 def _check_t(t):
     """(t as an array of at least one dimension, whether t was a scalar).
 
-    A scalar is evaluated as a one-element array, so that it takes the same
-    numpy loops as the entries of an array argument and gives the same bits.
+    Every entry must be >= 0 (inf is, NaN is not).  A scalar is evaluated as a
+    one-element array, so that it takes the same numpy loops as the entries of an
+    array argument and gives the same bits.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"profile argument must be nonnegative, got {np.min(arr[arr < 0])}")
+    if not (arr >= 0).all():
+        raise DomainError(f"profile argument must be nonnegative, got {np.min(arr[~(arr >= 0)])}")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -190,7 +191,7 @@ def complete_monotonicity_check(
     tol = 1e-10 * abs(float(profile(0.0)))
     diffs = values
     for order in range(max_order + 1):
-        if np.any(((-1.0) ** order) * diffs < -tol):
+        if not np.all(((-1.0) ** order) * diffs >= -tol):
             return False
         diffs = np.diff(diffs)
     return True

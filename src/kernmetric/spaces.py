@@ -160,9 +160,9 @@ def stack_points(space: PointSpace, points):
     return xs
 
 
-def join_points(xs, ys):
-    """The point set xs followed by ys, each as ``stack_points`` returns it."""
-    return xs + ys if isinstance(xs, tuple) else np.concatenate([xs, ys])
+def join_points(*point_sets):
+    """The point sets joined in order, each as ``stack_points`` returns it."""
+    return sum(point_sets, ()) if isinstance(point_sets[0], tuple) else np.concatenate(point_sets)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import kme_sq_norm, self_form, settle_form
 from .errors import DomainError, ShapeError
-from .kernels import KernelSpec, _base_gram
+from .kernels import KernelSpec, _base_gram, embedding_sq_dists, self_forms, settle_form
 from .spaces import (
     DiscreteMeasure,
     MetricSpec,
@@ -52,20 +51,28 @@ def _require_probability(m: DiscreteMeasure, name: str = "measure"):
         raise DomainError(f"{name} must be a probability measure")
 
 
-def _ordered_difference(p: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
-    """P - Q for probability measures P and Q taken in ``measure_key`` order, so that a
-    symmetric statistic of it has the same bits whichever argument comes first."""
+def _ordered_pair(space, p: DiscreteMeasure, q: DiscreteMeasure) -> list:
+    """Probability measures P and Q on space, in ``measure_key`` order, so that a
+    symmetric statistic of them has the same bits whichever argument comes first."""
     _require_probability(p, "P")
     _require_probability(q, "Q")
-    if measure_key(q) < measure_key(p):
-        p, q = q, p
-    return measure_difference(p, q)
+    if p.space != space or q.space != space:
+        raise ShapeError(f"measures do not live on the statistic's space {space}")
+    return sorted((p, q), key=measure_key)
+
+
+def _sq_mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    """||Phi(P) - Phi(Q)||^2 for the mean embedding Phi of k, in ``_ordered_pair``'s
+    order: bitwise symmetric, and settled as ``embedding_sq_dists`` settles it, so
+    exactly 0 for equal measures."""
+    p, q = _ordered_pair(k.space, p, q)
+    return float(embedding_sq_dists(k, (p,), (q,))[0, 0])
 
 
 def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Maximum mean discrepancy: RKHS norm of the embedded difference P - Q, in
-    ``_ordered_difference``'s order so that mmd(P, Q) == mmd(Q, P) bit for bit."""
-    return float(np.sqrt(kme_sq_norm(k, _ordered_difference(p, q))))
+    """Maximum mean discrepancy: RKHS norm of the embedded difference P - Q, with
+    mmd(P, Q) == mmd(Q, P) bit for bit (``_sq_mmd``)."""
+    return float(np.sqrt(_sq_mmd(k, p, q)))
 
 
 def kernel_score(k: KernelSpec, p: DiscreteMeasure, x) -> float:
@@ -83,22 +90,23 @@ def kernel_score(k: KernelSpec, p: DiscreteMeasure, x) -> float:
 def kernel_scores(k: KernelSpec, p: DiscreteMeasure, xs: Sequence) -> np.ndarray:
     """Kernel scores ``kernel_score(k, p, x)`` of one forecast at every outcome in xs.
 
-    The forecast's self-term w'Gw = sum_ij w_i w_j k(z_i, z_j) and its largest k(z, z)
-    are read off one Gram block G of its atoms, once (``self_form``).  A score is
-    half the form of p - delta_x, of mass 2 over n + 1 atoms, and its roundoff is
-    settled once, by ``settle_form`` with s the largest k(z, z) and k(x, x):
-    DomainError below -4e-10 s, exactly 0 up to 8 (n + 2) u s (u = 2**-53), and
-    the computed value above that.
+    The forecast's self-term w'Gw = sum_ij w_i w_j k(z_i, z_j) is computed once
+    (``self_forms``), from the block G of its own atoms.  A score is half the form
+    of p - delta_x, of mass 2 over n + 1 atoms, and its roundoff is settled once,
+    by ``settle_form`` with s the largest k(z, z) and k(x, x): DomainError below
+    -4e-10 s, exactly 0 up to 8 (n + 2) u s (u = 2**-53), and the computed value
+    above that.
     """
     _require_probability(p, "forecast")
-    p_form, p_scale = self_form(k, p)
+    if p.space != k.space:
+        raise ShapeError("measure does not live on the kernel's space")
     xs = stack_points(k.space, xs)
     # summed atom by atom, so that each outcome's score has the same bits
     # whatever the other outcomes are
     cross = sum(w * row for w, row in zip(p.weights, k.pairwise(p.points, xs)))
     outcomes = k.diag(xs)
-    form = p_form - 2.0 * cross + outcomes
-    scale = np.maximum(p_scale, outcomes)
+    form = self_forms(k, [p])[0] - 2.0 * cross + outcomes
+    scale = np.maximum(np.max(k.diag(p.points)), outcomes)
     return 0.5 * settle_form(form, 2.0, scale, len(p.weights) + 1)
 
 
@@ -110,9 +118,8 @@ def expected_score(k: KernelSpec, q: DiscreteMeasure, p: DiscreteMeasure) -> flo
 
 def divergence(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Score divergence d(P, Q) = S(Q, P) - S(P, P), computed as what it equals, half
-    the squared MMD: 0.5 * kme_sq_norm(k, P - Q) in ``mmd``'s order, bitwise symmetric,
-    exactly 0 for equal measures and settled as in ``kme_sq_norm``."""
-    return 0.5 * kme_sq_norm(k, _ordered_difference(p, q))
+    the squared MMD (``_sq_mmd``): bitwise symmetric and exactly 0 for equal measures."""
+    return 0.5 * _sq_mmd(k, p, q)
 
 
 def _u_statistic_from_gram(g: np.ndarray, n: int, m: int) -> float:
@@ -318,12 +325,10 @@ def permutation_test(
 
 def energy_distance(metric: MetricSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Energy distance 2 E rho(X, Y) - E rho(X, X') - E rho(Y, Y') = -w'Dw, for w the
-    weights of P - Q in ``mmd``'s order and D the distances of its n atoms; bitwise
+    weights of P - Q in ``_ordered_pair``'s order and D the distances of its n atoms; bitwise
     symmetric, settled (``settle_form``) with s the largest distance: DomainError below
     -4e-10 s or on overflow, exactly 0 up to 8 (n + 1) u s (u = 2**-53), else computed."""
-    diff = _ordered_difference(p, q)
-    if diff.space != metric.space():
-        raise ShapeError("measures do not live on the metric's space")
+    diff = measure_difference(*_ordered_pair(metric.space(), p, q))
     dists = metric_dists(metric, diff.points, diff.points)
     w = diff.weights
     with np.errstate(over="ignore", invalid="ignore"):

@@ -100,6 +100,14 @@ def test_radial_hilbert_rejects_non_hilbert_lp():
         make_radial_hilbert(PHI, FuncLp(grid, 1.5))
 
 
+def test_func_lp_defaults_to_the_hilbert_space_l2():
+    grid = trapezoid_grid(11)
+    assert FuncLp(grid) == FuncLp(grid, 2.0)
+    k = make_radial_hilbert(PHI, FuncLp(grid))
+    f, g = np.zeros(11), np.ones(11)  # ||f - g||^2 = 1 on [0, 1]
+    assert k(f, g) == pytest.approx(PHI(1.0), rel=1e-15)
+
+
 def test_tee_diagonal_scale_value():
     k = make_tee_radial(PHI, DiagonalScale((2.0,)), E1)
     assert k(one_d(0.0), one_d(1.0)) == pytest.approx(math.exp(-2.0), rel=1e-15)
@@ -384,8 +392,9 @@ def test_kme_gram_evaluates_each_self_term_once(monkeypatch):
     base_phi = Gaussian.__call__
     monkeypatch.setattr(Gaussian, "__call__", lambda phi, t: calls.append(t) or base_phi(phi, t))
     gram(k, ms)
-    # one base block for all 48 atoms against themselves, each ||Phi(mu)||^2 read off it
-    assert len(calls) == 1
+    # one base block for all 48 atoms against themselves, each ||Phi(mu)||^2 read off
+    # it, and phi(0), every K1(z, z), once
+    assert sorted(np.shape(t) for t in calls) == [(), (48, 48)]
 
 
 @pytest.mark.parametrize("diff_block,shapes", [
@@ -405,7 +414,8 @@ def test_kme_base_blocks_are_bounded_by_diff_block(diff_block, shapes, monkeypat
     base_phi = Gaussian.__call__
     monkeypatch.setattr(Gaussian, "__call__", lambda phi, t: calls.append(t) or base_phi(phi, t))
     gram(k, ms)
-    assert [t.shape for t in calls] == shapes
+    # the 2-D argument blocks; phi(0), every K1(z, z), is no base block
+    assert [t.shape for t in calls if np.ndim(t) == 2] == shapes
 
 
 def _kme_blocks(k, xs, ys):

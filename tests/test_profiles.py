@@ -65,6 +65,21 @@ def test_invalid_parameters_rejected():
         InverseRational(beta=0.0, scale=1.0)
 
 
+@pytest.mark.parametrize("phi", ALL_PROFILES, ids=lambda p: type(p).__name__)
+def test_nan_argument_rejected_and_infinity_decays_to_zero(phi):
+    # NaN is not >= 0: a scalar or an array holding one is refused, not returned as NaN
+    with pytest.raises(DomainError, match="nonnegative"):
+        phi(math.nan)
+    with pytest.raises(DomainError, match="nonnegative"):
+        phi(np.array([0.5, math.nan]))
+    assert phi(math.inf) == 0.0
+    np.testing.assert_array_equal(phi(np.array([math.inf, math.inf])), [0.0, 0.0])
+
+
+def test_nan_profile_fails_monotonicity():
+    assert not complete_monotonicity_check(lambda t: math.nan, [0.0, 1.0])
+
+
 def test_strict_pd_classification():
     assert not is_strictly_pd_class(DiscreteLaplace(atoms=((0.0, 1.0),)))
     assert is_strictly_pd_class(Gaussian(alpha=2.0))

@@ -20,7 +20,7 @@ from kernmetric import (
     metric_dist,
     trapezoid_grid,
 )
-from kernmetric.spaces import stack_points
+from kernmetric.spaces import join_points, stack_points
 
 from conftest import random_function
 
@@ -177,6 +177,13 @@ def test_measure_difference_concatenates_array_supports(space):
     np.testing.assert_array_equal(d.points, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
     np.testing.assert_array_equal(d.weights, [0.25, 0.75, -0.5, -0.5])
     assert d.space == space
+
+
+def test_join_points_joins_any_number_of_point_sets_in_order():
+    rows = [np.array([[float(i), -float(i)]]) for i in range(3)]
+    np.testing.assert_array_equal(join_points(*rows), [[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]])
+    ms = tuple(dirac(Euclidean(1), np.array([float(i)])) for i in range(3))
+    assert join_points(ms[:1], ms[1:2], ms[2:]) == ms
 
 
 def test_measure_difference_space_mismatch():

@@ -13,6 +13,7 @@ from kernmetric import (
     FuncLp,
     Gaussian,
     InverseRational,
+    MeasurePoints,
     ShapeError,
     dirac,
     divergence,
@@ -120,9 +121,32 @@ def test_two_measure_statistics_refuse_a_non_probability_q(k2, stat, weights):
         run(dirac(E2, np.zeros(2)))
 
 
+@pytest.mark.parametrize("stat", ["mmd", "divergence", "energy_distance"])
+def test_two_measure_statistics_refuse_a_measure_on_another_space(k2, stat):
+    q = dirac(E1, one_d(0.0))
+    run = {"mmd": lambda p: mmd(k2, p, q), "divergence": lambda p: divergence(k2, p, q),
+           "energy_distance": lambda p: energy_distance(EuclideanMetric(2), p, q)}[stat]
+    with pytest.raises(ShapeError, match="space"):
+        run(dirac(E2, np.zeros(2)))
+
+
+def test_mmd_of_measures_over_measures_is_the_norm_of_their_difference(rng):
+    # the atoms of P and Q are measures, joined as tuples, not arrays
+    k = make_kme_measure(PHI, make_radial_hilbert(PHI, E2))
+    ms = [random_prob_measure(rng, atoms=3) for _ in range(5)]
+    space = MeasurePoints(E2)
+    p = DiscreteMeasure(space, tuple(ms[:2]), np.array([0.5, 0.5]))
+    q = DiscreteMeasure(space, tuple(ms[2:]), np.array([0.2, 0.3, 0.5]))
+    assert mmd(k, p, p) == divergence(k, q, q) == 0.0
+    assert mmd(k, p, q) ** 2 == pytest.approx(kme_sq_norm(k, measure_difference(p, q)),
+                                              rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # near zero: mmd, scores, divergence and energy distance settle the roundoff of
-# their quadratic form by one rule (embeddings.settle_form)
+# their quadratic form by one rule (kernels.settle_form); mmd and divergence take
+# theirs from the one routine of every ||Phi(mu) - Phi(nu)||^2
+# (kernels.embedding_sq_dists)
 
 #: each profile family, with phi(0) - phi(t) computed without cancellation
 PROFILE_GAPS = [
@@ -211,15 +235,13 @@ def test_kernel_score_nonnegative(k2, rng):
 
 def test_kernel_scores_compute_the_self_term_once(k2, rng, monkeypatch):
     """One block of the forecast's own atoms per call, not one per outcome."""
-    from kernmetric.kernels import KernelSpec
-
     p = random_prob_measure(rng, atoms=6)
     xs = [rng.normal(size=2) for _ in range(9)]
     one_by_one = [kernel_score(k2, p, x) for x in xs]
     shapes = []
-    pairwise = KernelSpec.pairwise
-    monkeypatch.setattr(KernelSpec, "pairwise",
-                        lambda k, a, b: shapes.append((len(a), len(b))) or pairwise(k, a, b))
+    block = type(k2)._block
+    monkeypatch.setattr(type(k2), "_block",
+                        lambda k, a, b: shapes.append((len(a), len(b))) or block(k, a, b))
     np.testing.assert_array_equal(kernel_scores(k2, p, xs), one_by_one)
     q = random_prob_measure(rng, atoms=5)
     expected_score(k2, p, q)
