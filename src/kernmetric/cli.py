@@ -135,18 +135,12 @@ def _apply_config(args: argparse.Namespace):
 
 
 def _load_kernel(args, space, grid=None):
-    """The --kernel spec's kernel, or the default kernel on space, the data's space.
-
-    A point of space is a row, which a kernel takes only on its own space: the
-    same R^d, or L^p on the same grid, whatever p."""
+    """The --kernel spec's kernel, or the default kernel on space, the data's space;
+    ShapeError when the kernel does not take its points (``io.takes_space``)."""
     if not args.kernel:
         return kio.default_kernel(space)
     k = kio.kernel_from_json(_read_json(args.kernel), grid=grid)
-    if isinstance(k.space, FuncLp) and isinstance(space, FuncLp):
-        takes = k.space.grid == space.grid
-    else:
-        takes = k.space == space
-    if not takes:
+    if not kio.takes_space(k, space):
         raise ShapeError("the kernel does not take the data's points: it needs their "
                          "dimension, or their grid")
     return k

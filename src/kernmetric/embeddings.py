@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import OVERFLOW, DomainError, ShapeError
 from .kernels import KernelSpec, _base_gram, self_forms, settle_form
 from .spaces import DiscreteMeasure
 
@@ -49,10 +49,15 @@ def kme_sq_norm(k: KernelSpec, mu: DiscreteMeasure) -> float:
 
 
 def kme_inner(k: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """RKHS inner product of two embedded measures (bilinear double sum)."""
+    """RKHS inner product of two embedded measures (bilinear double sum); DomainError
+    where the sum is not finite."""
     if mu.space != k.space or nu.space != k.space:
         raise ShapeError("measure does not live on the kernel's space")
-    return float(mu.weights @ (k.pairwise(mu.points, nu.points) @ nu.weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = mu.weights @ (k.pairwise(mu.points, nu.points) @ nu.weights)
+    if not np.isfinite(val):
+        raise DomainError(OVERFLOW)
+    return float(val)
 
 
 def min_eigenvalue(g: GramMatrix) -> float:

@@ -339,49 +339,73 @@ def _map_from_json(obj) -> K.MapSpec:
     return K.LinearGridMap(_array(obj, "matrix", 2))
 
 
+def takes_space(k: K.KernelSpec, space) -> bool:
+    """Whether k takes the points of space: k's own space, or L^p on the same grid
+    whatever p, as a point of L^p is a row of values at the grid's nodes."""
+    if isinstance(k.space, FuncLp) and isinstance(space, FuncLp):
+        return k.space.grid == space.grid
+    return k.space == space
+
+
+def _describe(space) -> str:
+    if isinstance(space, Euclidean):
+        return f"R^{space.dim}"
+    if isinstance(space, FuncLp):
+        nodes = space.grid.nodes
+        return f"L^{space.p} on {len(nodes)} nodes over [{nodes[0]}, {nodes[-1]}]"
+    return f"measures on {_describe(space.base)}"
+
+
 def kernel_from_json(spec: dict, grid: QuadratureGrid = None) -> K.KernelSpec:
     """Build a kernel from its JSON spec.
 
     Layout: {"space": {...}, "rule": {"kind": ..., ...}, "phi": {...}}.
-    A grid loaded from --grid, when given, backs function-valued spaces.
+    A grid loaded from --grid, when given, backs function-valued spaces.  The radial
+    rules are built on the spec's space; any other rule builds its own, and a spec
+    that gives a space its kernel does not take (``takes_space``) is a ParseError.
     """
     _read(spec, "kernel spec", {None: ("space", "rule", "phi")}, tag=None)
     rule = spec.get("rule", {})
     gaussian = isinstance(rule, dict) and rule.get("freqs") == "gaussian"
     kind = _read(rule, "rule", _GAUSSIAN_RULES if gaussian else _RULES)
     phi = profile_from_json(spec["phi"]) if "phi" in spec else Gaussian(alpha=0.5)
+    radial = kind in ("radial_hilbert", "tee_radial")
+    space = _space_from_json(_value(spec, "space"), grid) if radial or "space" in spec else None
 
     if kind == "radial_hilbert":
-        return K.make_radial_hilbert(phi, _space_from_json(_value(spec, "space"), grid))
-    if kind == "tee_radial":
-        space = _space_from_json(_value(spec, "space"), grid)
-        return K.make_tee_radial(phi, _map_from_json(rule.get("map", {"kind": "identity"})), space)
-    if kind == "lp_operator":
+        k = K.make_radial_hilbert(phi, space)
+    elif kind == "tee_radial":
+        k = K.make_tee_radial(phi, _map_from_json(rule.get("map", {"kind": "identity"})), space)
+    elif kind == "lp_operator":
         g = _grid(rule, "grid", grid)
         k1 = kernel_from_json(rule["k1"], grid) if "k1" in rule else default_kernel(Euclidean(1))
-        return K.make_lp_operator(phi, k1, g, _number(rule, "p"))
-    if kind == "metric_phi":
-        return K.make_metric_phi(phi, _metric_from_json(rule.get("metric", {}), grid))
-    if kind == "distance":
+        k = K.make_lp_operator(phi, k1, g, _number(rule, "p"))
+    elif kind == "metric_phi":
+        k = K.make_metric_phi(phi, _metric_from_json(rule.get("metric", {}), grid))
+    elif kind == "distance":
         metric = _metric_from_json(rule.get("metric", {}), grid)
-        return K.make_distance_kernel(metric, _array(rule, "z0", 1))
-    if kind == "mixture":
+        k = K.make_distance_kernel(metric, _array(rule, "z0", 1))
+    elif kind == "mixture":
         comps = _value(rule, "components")
         if not isinstance(comps, list):
             raise ParseError(f"'components' must be a list, got {comps!r}")
         for c in comps:
             _read(c, "mixture component", {None: ("kernel", "weight")}, tag=None)
-        return K.make_mixture([(kernel_from_json(_value(c, "kernel"), grid), _number(c, "weight"))
-                               for c in comps])
-    if kind == "kme_measure":
-        return K.make_kme_measure(phi, kernel_from_json(_value(rule, "k1"), grid))
-    if kind == "fourier_measure":
-        if gaussian:
-            base = Euclidean(_number(rule, "dim", 1, integer=True))
-            return K.make_kme_measure(phi, K.make_radial_hilbert(Gaussian(alpha=0.5), base))
-        return K.make_fourier_measure(phi, _array(rule, "freqs", 2),
-                                      _array(rule, "freq_weights", 1))
-    return K.make_quantile_monge(phi, _grid(rule, "u_grid", grid, {"m": 64}))
+        k = K.make_mixture([(kernel_from_json(_value(c, "kernel"), grid), _number(c, "weight"))
+                            for c in comps])
+    elif kind == "kme_measure":
+        k = K.make_kme_measure(phi, kernel_from_json(_value(rule, "k1"), grid))
+    elif kind == "fourier_measure" and gaussian:
+        base = Euclidean(_number(rule, "dim", 1, integer=True))
+        k = K.make_kme_measure(phi, K.make_radial_hilbert(Gaussian(alpha=0.5), base))
+    elif kind == "fourier_measure":
+        k = K.make_fourier_measure(phi, _array(rule, "freqs", 2), _array(rule, "freq_weights", 1))
+    else:
+        k = K.make_quantile_monge(phi, _grid(rule, "u_grid", grid, {"m": 64}))
+    if space is not None and not takes_space(k, space):
+        raise ParseError(f"the spec's space, {_describe(space)}, is not one the {kind} kernel "
+                         f"takes: it is built on {_describe(k.space)}")
+    return k
 
 
 def scenario_from_json(obj) -> tuple:

@@ -149,14 +149,6 @@ def settle_form(val, mass, scale, n) -> np.ndarray:
     return np.where(val <= (n + 1) * 2.0**-52 * size, 0.0, val)
 
 
-def _require_strict(phi: PhiProfile):
-    if not is_strictly_pd_class(phi):
-        raise ProfileClassError(
-            "profile has mixing measure supported on {0}; the induced radial "
-            "kernel is constant and not strictly positive definite"
-        )
-
-
 # ---------------------------------------------------------------------------
 # maps for composed radial kernels; ``apply`` maps the rows of a stacked
 # (n, d) point array (``stack_points``)
@@ -186,9 +178,10 @@ class DiagonalScale:
         return xs * np.asarray(self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearGridMap:
-    """Square matrix applied to a sample's values; must be numerically injective."""
+    """Square matrix applied to a sample's values; must be numerically injective.
+    Compared and hashed by identity, as the matrix is an array."""
 
     matrix: np.ndarray
 
@@ -226,16 +219,18 @@ def _rows_pair(rows: Callable[[Sequence], np.ndarray], xs, ys):
     return ex, ex if ys is xs else rows(ys)
 
 
-def _sq_dists(ex: np.ndarray, ey: np.ndarray, col_weights: Optional[np.ndarray]) -> np.ndarray:
-    """Squared distances between the rows of ex and ey, columns weighted by col_weights."""
+def _sq_dists(rows: Callable, col_weights: Optional[np.ndarray], xs, ys) -> np.ndarray:
+    """Squared distances between the rows E(x) of xs and E(y) of ys for the row map E =
+    ``rows`` (``_rows_pair``), columns weighted by col_weights (None: all ones).
+
+    numpy's warnings are off while the rows are evaluated: a row past the float range
+    holds inf or NaN, its distances are NaN or inf, and the profile refuses those."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex, ey = _rows_pair(rows, xs, ys)
     if col_weights is None:
         return reduce_diffs(sum_sq, ex, ey)
     return reduce_diffs(lambda diff: np.einsum("ijk,ijk,k->ij", diff, diff, col_weights),
                         ex, ey)
-
-
-def _embedded_sq_dists(rows: Callable, col_weights: Optional[np.ndarray], xs, ys) -> np.ndarray:
-    return _sq_dists(*_rows_pair(rows, xs, ys), col_weights)
 
 
 def _kme_groups(bounds: list, limit: int):
@@ -249,8 +244,10 @@ def _kme_groups(bounds: list, limit: int):
 
 
 def self_forms(k: KernelSpec, ms) -> np.ndarray:
-    """Each measure's form w'Kw, from the block of k over the measure's own atoms."""
-    return np.array([m.weights @ (k._block(m.points, m.points) @ m.weights) for m in ms])
+    """Each measure's form w'Kw, from the block of k over the measure's own atoms, with
+    numpy's warnings off: ``settle_form`` refuses a form that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([m.weights @ (k._block(m.points, m.points) @ m.weights) for m in ms])
 
 
 def _support(k1: KernelSpec, ms: tuple):
@@ -276,22 +273,24 @@ def embedding_sq_dists(k1: KernelSpec, xs: tuple, ys: tuple) -> np.ndarray:
     A block's columns are summed by measure of ys, then its rows by measure of xs,
     so that no value depends on the runs.  When ys is xs, w_mu' K1 w_mu is the
     inner product of mu with itself, so mu's own distance is 0 by construction;
-    otherwise ``self_forms`` gives it.
+    otherwise ``self_forms`` gives it.  numpy's warnings are off while the distances
+    are formed: ``settle_form`` refuses one that is not finite.
     """
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)))
-    (ax, wx, bx, mx, cx, nx), (ay, wy, by, my, cy, ny) = _rows_pair(partial(_support, k1), xs, ys)
-    inner = np.empty((len(xs), len(ys)))
-    for first, last in _kme_groups(bx, spaces.DIFF_BLOCK // len(ay)):
-        lo, hi = bx[first], bx[last]
-        cols = np.add.reduceat(k1._block(ax[lo:hi], ay) * wy, by[:-1], axis=1)
-        inner[first:last] = np.add.reduceat(wx[lo:hi, None] * cols,
-                                            np.subtract(bx[first:last], lo), axis=0)
-    if ys is xs:
-        sx = sy = np.diagonal(inner)
-    else:
-        sx, sy = self_forms(k1, xs), self_forms(k1, ys)
-    with np.errstate(over="ignore", invalid="ignore"):  # settle_form refuses what is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        (ax, wx, bx, mx, cx, nx), (ay, wy, by, my, cy, ny) = _rows_pair(partial(_support, k1),
+                                                                        xs, ys)
+        inner = np.empty((len(xs), len(ys)))
+        for first, last in _kme_groups(bx, spaces.DIFF_BLOCK // len(ay)):
+            lo, hi = bx[first], bx[last]
+            cols = np.add.reduceat(k1._block(ax[lo:hi], ay) * wy, by[:-1], axis=1)
+            inner[first:last] = np.add.reduceat(wx[lo:hi, None] * cols,
+                                                np.subtract(bx[first:last], lo), axis=0)
+        if ys is xs:
+            sx = sy = np.diagonal(inner)
+        else:
+            sx, sy = self_forms(k1, xs), self_forms(k1, ys)
         d2 = np.add.outer(sx, sy) - 2.0 * inner
     return settle_form(d2, np.add.outer(mx, my), np.maximum.outer(cx, cy), np.add.outer(nx, ny))
 
@@ -306,7 +305,11 @@ class _ProfileKernel(KernelSpec):
     arg: Callable[[Sequence, Sequence], np.ndarray]
 
     def __post_init__(self):
-        _require_strict(self.phi)
+        if not is_strictly_pd_class(self.phi):
+            raise ProfileClassError(
+                "profile has mixing measure supported on {0}; the induced radial "
+                "kernel is constant and not strictly positive definite"
+            )
 
     @cached_property
     def _phi0(self) -> float:
@@ -377,7 +380,7 @@ class _Mixture(KernelSpec):
 def _radial(phi: PhiProfile, space: PointSpace, rows: Callable, col_weights=None) -> KernelSpec:
     """phi(||E(x) - E(y)||^2) for the row map E = ``rows`` of the stacked points, the
     squared column differences weighted by col_weights (None: all ones)."""
-    return _ProfileKernel(phi, space, partial(_embedded_sq_dists, rows, col_weights))
+    return _ProfileKernel(phi, space, partial(_sq_dists, rows, col_weights))
 
 
 def make_radial_hilbert(phi: PhiProfile, space: PointSpace) -> KernelSpec:
@@ -551,7 +554,7 @@ def _quantile_sq_dists(xs: tuple, ys: tuple) -> np.ndarray:
     def rows(breaks):
         return np.array([x[np.searchsorted(cum, mid)] for x, cum in breaks]).reshape(-1, len(mid))
 
-    return _sq_dists(*_rows_pair(rows, bx, by), hi - lo)
+    return _sq_dists(rows, hi - lo, bx, by)
 
 
 def quantile_sq_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -1,7 +1,8 @@
 """Built-in verification suite: named invariants across all modules.
 
-Each check is a small, fast, deterministic property test.  The CLI
-``selfcheck`` command runs all of them and reports pass/fail per name.
+Each ``check_*`` function is one small, fast, deterministic invariant.  The CLI
+``selfcheck`` command runs them all (``CHECKS``) in the order defined and reports
+pass/fail per name, the function's name without the prefix.
 """
 
 from __future__ import annotations
@@ -465,36 +466,9 @@ def check_u_statistic_equal_samples():
     return abs(val - (k(a, b) - 1.0)) < 1e-15 and val <= 0.0
 
 
-CHECKS = [
-    ("profiles_nonincreasing", check_profiles_nonincreasing),
-    ("profiles_completely_monotone", check_profiles_completely_monotone),
-    ("discrete_laplace_direct_sum", check_discrete_laplace_direct_sum),
-    ("constant_profile_excluded", check_constant_profile_excluded),
-    ("trapezoid_exactness", check_trapezoid_exactness),
-    ("triangle_inequality", check_triangle_inequality),
-    ("measure_difference_mass", check_measure_difference_mass),
-    ("kernel_symmetry", check_kernel_symmetry),
-    ("kernel_diagonal", check_kernel_diagonal),
-    ("kernel_boundedness", check_kernel_boundedness),
-    ("gram_psd", check_gram_psd),
-    ("gram_strict_pd", check_gram_strict_pd),
-    ("tee_identity_reduction", check_tee_identity_reduction),
-    ("kme_argument_double_sum", check_kme_argument_double_sum),
-    ("quantile_monge_matches_sorting", check_quantile_monge_matches_sorting),
-    ("mixture_lemma", check_mixture_lemma),
-    ("kme_clamp_and_scaling", check_kme_clamp_and_scaling),
-    ("cauchy_schwarz", check_cauchy_schwarz),
-    ("ispd_on_signed_measures", check_ispd_on_signed_measures),
-    ("distance_kernel_z0_invariance", check_distance_kernel_z0_invariance),
-    ("mmd_identity_chain", check_mmd_identity_chain),
-    ("score_propriety", check_score_propriety),
-    ("score_mmd_half_identity", check_score_mmd_half_identity),
-    ("energy_distance_equivalence", check_energy_distance_equivalence),
-    ("mmd_pseudometric", check_mmd_pseudometric),
-    ("permutation_determinism", check_permutation_determinism),
-    ("permutation_separated_functions", check_permutation_separated_functions),
-    ("u_statistic_equal_samples", check_u_statistic_equal_samples),
-]
+#: (name, check) of every ``check_*`` function above, in the order defined
+CHECKS = [(name.removeprefix("check_"), fn) for name, fn in globals().items()
+          if name.startswith("check_")]
 
 
 def run_selfcheck() -> bool:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1168,10 +1169,41 @@ def test_cli_misspelt_spec_key_is_usage_error(tmp_path, capsys, spec, message):
     assert not out.exists()
 
 
+_LP_OPERATOR = {"kind": "lp_operator", "p": 1.5, "grid": {"m": 8}}
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"space": 5, "rule": {"kind": "quantile_monge"}}, "space must be a JSON object, got 5"),
+    ({"space": {"kind": "bogus"}, "rule": {"kind": "metric_phi"}}, "unknown space kind 'bogus'"),
+    ({"space": {"kind": "euclidean", "dim": 7}, "rule": _LP_OPERATOR},
+     "the spec's space, R^7, is not one the lp_operator kernel takes: it is built on "
+     "L^1.5 on 8 nodes over [0.0, 1.0]"),
+    ({"space": {"kind": "func_lp", "grid": {"m": 9}}, "rule": _LP_OPERATOR},
+     "the spec's space, L^2.0 on 9 nodes over [0.0, 1.0], is not one"),
+    ({"space": {"kind": "measure", "base": {"kind": "euclidean", "dim": 1}},
+      "rule": {"kind": "metric_phi"}}, "the spec's space, measures on R^1, is not one"),
+], ids=["not_an_object", "unknown_kind", "other_kind", "other_grid", "measures"])
+def test_spec_space_the_kernel_does_not_take_is_a_parse_error(tmp_path, capsys, spec, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        kernel_from_json(spec)
+    kernel = write(tmp_path / "k.json", json.dumps(spec))
+    x = write(tmp_path / "x.csv", "x1,weight\n0,1\n")
+    assert main(["mmd", "--kernel", kernel, "--x", x, "--y", x]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
+def test_spec_space_is_taken_on_the_same_grid_whatever_p():
+    spec = {"space": {"kind": "func_lp", "grid": {"m": 8}, "p": 2.0}, "rule": _LP_OPERATOR}
+    assert kernel_from_json(spec).space == FuncLp(trapezoid_grid(8), 1.5)
+    spec = {"space": {"kind": "measure", "base": {"kind": "euclidean", "dim": 1}},
+            "rule": {"kind": "quantile_monge"}}
+    assert kernel_from_json(spec).space == MeasurePoints(Euclidean(1))
+
+
 @pytest.mark.parametrize("rule", ["lp_operator", "distance"])
 def test_cli_function_specs_without_a_space_grid_build_on_the_grid_file(tmp_path, rule):
-    """A func_lp space with no grid, which these rules never read, beside a rule on the
-    --grid grid: the gram is the library's, bit for bit."""
+    """A func_lp space with no grid, read on the --grid grid, beside a rule on the same
+    grid: the gram is the library's, bit for bit."""
     m, p = 16, 1.5
     grid = trapezoid_grid(m)
     grid_file = str(tmp_path / "grid.csv")

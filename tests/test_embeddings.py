@@ -196,6 +196,20 @@ def test_overflowing_kernel_values_are_domain_errors():
             kme_inner(k, mu, nu)
 
 
+def test_forms_of_measures_past_the_float_range_are_domain_errors():
+    # one signed measure whose forms overflow: each is refused, with no numpy warning
+    # (an error under the suite's filter) and no quiet inf
+    k = make_radial_hilbert(PHI, E1)
+    mu = DiscreteMeasure(E1, [[0.0], [1.0]], [1e200, -1e200])
+    nu = DiscreteMeasure(E1, [[0.0], [1.0]], [1e200, 1e200])
+    with pytest.raises(DomainError, match="overflow"):
+        kme_inner(k, mu, mu)
+    with pytest.raises(DomainError, match="overflow"):
+        make_kme_measure(PHI, k)(mu, nu)
+    with pytest.raises(DomainError, match="overflow"):
+        kme_sq_norm(k, mu)
+
+
 def test_settle_form_gate_zero_band_and_bound():
     # two atoms of mass 2 and scale 1: the gate is -4e-10, the bound 2 (2 + 1) u 4 = 12 eps
     bound = 12 * np.finfo(float).eps

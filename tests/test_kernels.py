@@ -124,6 +124,25 @@ def test_linear_grid_map_rank_check():
         LinearGridMap(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+def test_linear_grid_map_is_compared_and_hashed_by_identity():
+    a = LinearGridMap(np.eye(2))
+    assert a == a and hash(a) == hash(a)
+    assert a != LinearGridMap(np.eye(2))
+    assert len({a, LinearGridMap(np.eye(2))}) == 2
+
+
+@pytest.mark.parametrize("k,x,y", [
+    (make_tee_radial(PHI, DiagonalScale((10.0,)), E1), one_d(1e308), one_d(1e308)),
+    (make_tee_radial(PHI, LinearGridMap(np.array([[10.0]])), E1), one_d(1e308), one_d(1e308)),
+    (make_fourier_measure(PHI, [[1e10]], [1.0]), dirac(E1, one_d(1e300)), dirac(E1, one_d(0.0))),
+], ids=["diagonal_scale", "linear_grid_map", "fourier_features"])
+def test_rows_past_the_float_range_are_refused_without_a_warning(k, x, y):
+    # finite points whose mapped rows overflow: numpy's overflow or invalid-value
+    # warning, an error under the suite's filter, must not come before the refusal
+    with pytest.raises(DomainError, match="profile argument must be nonnegative, got nan"):
+        k(x, y)
+
+
 # ---------------------------------------------------------------------------
 # L^p operator kernels
 

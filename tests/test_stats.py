@@ -36,6 +36,8 @@ from kernmetric import (
     trapezoid_grid,
 )
 
+from kernmetric.selfcheck import sample_kernels
+
 from conftest import random_prob_measure
 
 E1, E2 = Euclidean(1), Euclidean(2)
@@ -253,6 +255,32 @@ def test_kernel_scores_refuse_a_forecast_on_another_space():
     k = make_radial_hilbert(PHI, FuncLp(trapezoid_grid(2), 2.0))
     with pytest.raises(ShapeError, match="kernel's space"):
         kernel_scores(k, dirac(E2, np.zeros(2)), [np.zeros(2)])
+
+
+def _scalar_score(k, p, x):
+    """1/2 (w'Gw - 2 sum_i w_i k(z_i, x) + k(x, x)) from scalar kernel calls."""
+    z, w = p.points, p.weights
+    form = sum(wi * wj * k(zi, zj) for zi, wi in zip(z, w) for zj, wj in zip(z, w))
+    return 0.5 * (form - 2.0 * sum(wi * k(zi, x) for zi, wi in zip(z, w)) + k(x, x))
+
+
+#: the rules whose points are measures, each with a generator of its points
+_MEASURE_RULES = [case for case in sample_kernels(np.random.default_rng(0))
+                  if case[0] in ("kme_measure", "quantile_monge", "fourier_measure")]
+
+
+@pytest.mark.parametrize("name,k,gen", _MEASURE_RULES, ids=[case[0] for case in _MEASURE_RULES])
+def test_scores_of_forecasts_over_measures_match_scalar_kernel_calls(rng, name, k, gen):
+    def forecast(atoms):
+        w = rng.uniform(0.1, 1.0, size=atoms)
+        return DiscreteMeasure(k.space, tuple(gen(rng) for _ in range(atoms)), w / w.sum())
+
+    p, outcomes = forecast(4), [gen(rng) for _ in range(5)]
+    oracle = [_scalar_score(k, p, x) for x in outcomes]
+    assert kernel_scores(k, p, outcomes) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    q = forecast(3)
+    oracle = sum(wj * _scalar_score(k, p, x) for x, wj in zip(q.points, q.weights))
+    assert expected_score(k, p, q) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_expected_score_refuses_a_non_probability_outcome_distribution(k2):
